@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import roots_legendre
 
 from .errors import BoundaryLeakage, ParameterOutOfRange
@@ -511,6 +510,10 @@ def bessel_probe(grid, s):
     (field, exact_rhs); the identity content is untouched, every coefficient
     multiplies an exact closed form.
     """
+    # imported here: scipy.integrate is a heavy import (it pulls in
+    # numpy.f2py), and no march or CLI start-up needs it
+    from scipy import integrate
+
     nd = grid.ndim
     p = nd - 2.0 * s
     q = nd + 2.0 * s

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as Gamma
 
 from .errors import ParameterOutOfRange, SingularArgument
@@ -108,6 +107,9 @@ def _remainder_mass(d, h):
     """h_l1 = |S^{d-2}| int_{-1}^{1} h(t) (1 - t^2)^{(d-3)/2} dt by adaptive quadrature."""
     if h is None:
         return 0.0
+    # imported here, as in fracop.bessel_probe: only remainder kernels need it
+    from scipy import integrate
+
     if d == 2:
         # weight (1-t^2)^{-1/2} handled by the algebraic-weight rule
         val, err = integrate.quad(

@@ -13,6 +13,23 @@ two backends:
     with an empirical spectral-radius time-step bound, a two-thirds angular
     de-aliasing filter, and per-node exact mass restoration.
 
+Both backends are real-linear and the same at every x, so the whole step
+commutes with the spatial Fourier transform, and `run` marches in Fourier
+space.  Between emits its state is the rfftn spectrum over the space axes,
+angular nodes last.  Streaming by dt/2 is one multiplier table H built per
+run: H = (E + conj(E[-k])) / 2 with E = exp(-i theta.k dt/2) on the fftfreq
+grid.  H equals E off the Nyquist planes; on them it is the fold that taking
+the real part of the inverse transform applies, cos((theta.k_N) dt/2) times
+the phase of the other components (see `_transport_table`).  The two
+half-steps that meet between consecutive steps fuse into one multiply by
+H*H.  Scattering acts on the spectrum's real and imaginary parts as one real
+batch of rows, each weighted by its Parseval weight where physical-space
+calls weight every row by the cell volume.  The per-step checks read the
+spectrum (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
+half-step and irfftn run only when a diagnostics row or a snapshot needs
+physical values.  `transport_step` and `strang_step_energy` are one-step
+wrappers over the same table and kernel.
+
 Energy accounting: both time integrals entering the L2-vs-H^s energy
 inequality are accumulated from the same per-mode closed forms inside the
 scattering substep (the transport substep is unitary, so the full-step L2
@@ -40,12 +57,13 @@ from .scatter import (
     SphereQuadrature,
     basis_at_directions,
     funk_hecke_eigs,
-    mode_count,
     mode_degrees,
 )
 
 SNAPSHOT_MAGIC = b"PRTE"
 SNAPSHOT_VERSION = 1
+#: magic, then version, d, m and the angular count as uint32, then the time
+SNAPSHOT_HEADER_BYTES = 4 + 4 * 4 + 8
 DIAGNOSTICS_HEADER = "time,mass,l2,linf,hs_integral,energy_residual"
 
 #: relative per-step slack for the L2 monotonicity assertion
@@ -202,7 +220,85 @@ class DiagnosticsRecord:
 
 
 # ---------------------------------------------------------------------------
-# transport
+# transport in the spatial-Fourier layout
+
+
+def _to_spectrum(u):
+    """rfftn over the space axes; the angular nodes stay the last axis."""
+    return np.fft.rfftn(u.values, axes=tuple(range(u.spatial.d)))
+
+
+def _to_values(spatial, spec):
+    return np.fft.irfftn(spec, s=spatial.shape, axes=tuple(range(spatial.d)))
+
+
+def _transport_table(spatial, angular, tau):
+    """
+    Free streaming over tau as one multiplier on the rfftn half-spectrum.
+
+    Streaming multiplies the full spectrum by E = exp(-i theta.k tau), k on
+    the fftfreq grid, and the real part of the inverse transform then folds
+    that to H = (E + conj(E[-k])) / 2, where E[-k] is E at the indices
+    negated mod m.  Off the Nyquist planes H = E.  On them a Nyquist index is
+    its own negation, so H = exp(-i theta.k' tau) cos(theta.k'' tau), with k'
+    the wavevector with its Nyquist components zeroed and k'' = k - k'.  At
+    the doubly-Nyquist bins that is cos((theta_x + theta_y) k_N tau), not a
+    product of per-axis cosines.  H = 1 at k = 0, |H| <= 1, and
+    H[-k] = conj(H[k]), so H maps real fields to real fields.
+    """
+    g = spatial
+    theta = np.asarray(angular.nodes)[:, : g.d]
+    nyq = g.m // 2
+    k = g.wavenumbers()
+    stream = k.copy()
+    stream[nyq] = 0.0
+    phase = np.empty(g.shape[:-1] + (nyq + 1, theta.shape[0]))
+    _dot_theta(phase, stream, theta)
+    table = np.multiply(phase, -1j * tau)
+    np.exp(table, out=table)
+    _dot_theta(phase, k - stream, theta)
+    phase *= tau
+    table *= np.cos(phase, out=phase)
+    return table
+
+
+def _dot_theta(out, per_axis, theta):
+    """out[n, j] = sum_a per_axis[n_a] theta[j, a] on the half-spectrum grid."""
+    out[...] = 0.0
+    for a in range(theta.shape[1]):
+        shape = [1] * out.ndim
+        shape[a] = out.shape[a]
+        out += per_axis[: out.shape[a]].reshape(shape) * theta[:, a]
+
+
+def _parseval_weights(spatial):
+    """
+    One weight per rfftn bin: sum_k w_k |U_k|^2 = cell_volume sum_x |u_x|^2.
+    The stored half holds one bin of each conjugate pair, except in the zero
+    and Nyquist columns of the last axis, whose bins are their own partners.
+    """
+    g = spatial
+    mult = np.full(g.m // 2 + 1, 2.0)
+    mult[0] = mult[-1] = 1.0
+    w = np.broadcast_to(g.cell_volume() / g.m**g.d * mult, g.shape[:-1] + mult.shape)
+    # the real and the imaginary batch rows carry the same weights
+    return np.tile(w.ravel(), 2)
+
+
+def _scatter_spectrum(eng, spec, dt, row_weight):
+    """
+    Scattering over dt on the spectrum, in place.  The engines are real-linear
+    and the same at every x, so they act on the real and imaginary parts as
+    one real batch of rows.  Returns the substep's (int ||u||^2 dtau,
+    int ||u||^2_Hs dtau) and ||u||^2 after it.
+    """
+    flat = spec.reshape(-1, spec.shape[-1])
+    rows = flat.shape[0]
+    out, dl2, dhs = eng.scatter(np.concatenate((flat.real, flat.imag)), dt, row_weight)
+    # write through spec itself: flat is a copy when spec is not C-ordered
+    spec.real = out[:rows].reshape(spec.shape)
+    spec.imag = out[rows:].reshape(spec.shape)
+    return dl2, dhs, _norm_sq(out, eng.angular.weights, row_weight)
 
 
 def transport_step(u, dt):
@@ -211,22 +307,13 @@ def transport_step(u, dt):
     spatial Fourier mode picks up the phase e^{-i (theta_j . k) dt}.  Unitary
     on band-limited data, so L2 is exact and mass (the k = 0 mode) never
     moves.  The folded Nyquist bin has no conjugate partner; its translate
-    falls outside the grid space and taking the real part projects it back,
-    so only data with energy at the fold sees any (norm-decreasing) effect.
+    falls outside the grid space and the real projection folds it back (see
+    `_transport_table`), so only data with energy at the fold sees any
+    (norm-decreasing) effect.
     """
-    g = u.spatial
-    axes = tuple(range(g.d))
-    k = g.wavenumbers()
-    theta = np.asarray(u.angular.nodes)[:, : g.d]
-    ex = np.zeros(g.shape + (theta.shape[0],))
-    for a in range(g.d):
-        shape = [1] * (g.d + 1)
-        shape[a] = g.m
-        ex = ex + k.reshape(shape) * theta[:, a]
-    spec = np.fft.fftn(u.values, axes=axes)
-    spec *= np.exp(-1j * dt * ex)
-    out = np.fft.ifftn(spec, axes=axes).real
-    return PhaseField(u.spatial, u.angular, out, u.time + dt)
+    spec = _to_spectrum(u)
+    spec *= _transport_table(u.spatial, u.angular, dt)
+    return PhaseField(u.spatial, u.angular, _to_values(u.spatial, spec), u.time + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +350,21 @@ def _sigma_table(kernel, lmax, with_b1):
         return np.zeros(lmax + 1)
     mu = np.array([conformal_eigenvalue(base.d, base.s, l) for l in range(lmax + 1)])
     return 2.0 ** (1 - base.d) * mu
+
+
+def _row_sum(row_weight, a):
+    """
+    sum_r row_weight_r a[r] over every axis of a but the last.  row_weight is
+    one number per row, or one scalar for all: the cell volume for fields in
+    physical space, the Parseval weights for the spectrum's real batch.
+    """
+    a = a.reshape(-1, a.shape[-1])
+    return np.broadcast_to(np.ravel(row_weight), a.shape[:1]) @ a
+
+
+def _norm_sq(values, weights, row_weight):
+    """||u||^2: row-weighted sum of the angular quadrature of values^2."""
+    return float(_row_sum(row_weight, ((values * values) @ weights)[..., None])[0])
 
 
 def _decay_integral(lam, dt):
@@ -310,9 +412,8 @@ class _SpectralEngine:
             return np.fft.rfft(values, axis=-1)
         return values @ self.proj
 
-    def _masses(self, spec, values, cell_volume):
+    def _masses(self, spec, values, row_weight):
         """Per-degree mode masses plus the beyond-band remainder (d=3 only)."""
-        axes = tuple(range(values.ndim - 1))
         if self.d == 2:
             m = values.shape[-1]
             # Parseval mode masses: bins 0 and m/2 appear once, others twice
@@ -320,25 +421,25 @@ class _SpectralEngine:
             mult[0] = 1.0
             if m % 2 == 0:
                 mult[-1] = 1.0
-            power = np.sum(np.abs(spec) ** 2, axis=axes)
-            return cell_volume * (2.0 * np.pi / m**2) * mult * power, 0.0
-        per_mode = cell_volume * np.sum(spec**2, axis=axes)
+            power = _row_sum(row_weight, np.abs(spec) ** 2)
+            return (2.0 * np.pi / m**2) * mult * power, 0.0
+        per_mode = _row_sum(row_weight, spec**2)
         resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
-        total = cell_volume * np.sum((values**2) @ self.angular.weights)
+        total = _norm_sq(values, self.angular.weights, row_weight)
         return resolved, max(total - float(resolved.sum()), 0.0)
 
-    def functionals(self, values, cell_volume):
+    def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
-        resolved, unresolved = self._masses(self._spectrum(values), values, cell_volume)
+        resolved, unresolved = self._masses(self._spectrum(values), values, row_weight)
         l2sq = float(resolved.sum()) + unresolved
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
-    def scatter(self, values, dt, cell_volume):
+    def scatter(self, values, dt, row_weight):
         """Returns (new values, int ||u||^2 dtau, int ||u||^2_{Hs} dtau)."""
         lam = self.lambdas
         spec = self._spectrum(values)
-        resolved, unresolved = self._masses(spec, values, cell_volume)
+        resolved, unresolved = self._masses(spec, values, row_weight)
         if self.d == 2:
             out = np.fft.irfft(spec * np.exp(lam * dt), n=values.shape[-1], axis=-1)
         else:
@@ -437,14 +538,14 @@ class _ProjectedEngine:
             self._bound = self.RK4_REACH / rho
         return self._bound
 
-    def scatter(self, values, dt, cell_volume):
+    def scatter(self, values, dt, row_weight):
         if dt > self.stability_bound():
             raise StabilityViolation(
                 f"dt={dt} exceeds projected-backend bound {self.stability_bound():.3e}"
             )
         w = self.angular.weights
-        pre_l2 = cell_volume * np.sum((values**2) @ w)
-        pre_hs = self._hs_total(values, cell_volume)
+        pre_l2 = _norm_sq(values, w, row_weight)
+        pre_hs = self._hs_total(values, row_weight)
         pre_mass = values @ w
         k1 = self.apply(values)
         k2 = self.apply(values + 0.5 * dt * k1)
@@ -458,17 +559,17 @@ class _ProjectedEngine:
         f = np.fft.ifftn(np.where(self.filter_mask, spec, 0.0), axes=self.paxes).real
         out = f.reshape(out.shape)
         out += ((pre_mass - out @ w) / self.wsum)[..., None]
-        post_l2 = cell_volume * np.sum((out**2) @ w)
+        post_l2 = _norm_sq(out, w, row_weight)
         if post_l2 > pre_l2 * (1.0 + GROWTH_TOL):
             raise StabilityViolation(
                 f"projected scattering grew L2 by {post_l2 / pre_l2 - 1.0:.3e}"
             )
-        post_hs = self._hs_total(out, cell_volume)
+        post_hs = self._hs_total(out, row_weight)
         l2_int = 0.5 * dt * (pre_l2 + post_l2)
         hs_int = 0.5 * dt * (pre_hs + post_hs)
         return out, l2_int, hs_int
 
-    def _hs_total(self, values, cell_volume):
+    def _hs_total(self, values, row_weight):
         """int ||(-Lap)^{s/2} (u w0)||^2 over space, via plane Parseval."""
         f = values.reshape(values.shape[:-1] + self.pshape) * self.w0
         spec = np.fft.fftn(f, axes=self.paxes)
@@ -476,12 +577,12 @@ class _ProjectedEngine:
         per_x = self.grid.cell_volume() / npl * np.sum(
             self.mult_s * np.abs(spec) ** 2, axis=self.paxes
         )
-        return float(cell_volume * np.sum(per_x))
+        return float(_row_sum(row_weight, per_x[..., None])[0])
 
-    def functionals(self, values, cell_volume):
+    def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
-        l2sq = float(cell_volume * np.sum((values**2) @ self.angular.weights))
-        return l2sq, self._hs_total(values, cell_volume)
+        l2sq = _norm_sq(values, self.angular.weights, row_weight)
+        return l2sq, self._hs_total(values, row_weight)
 
 
 _ENGINES = {}
@@ -508,16 +609,17 @@ def strang_step_energy(u, dt, cfg):
     """
     transport(dt/2), scattering(dt), transport(dt/2), plus the scattering
     substep's time integrals (int ||u||^2 dtau, int ||u||^2_{Hs} dtau).
-    Transport is unitary, so these are the whole step's integrals too; the
-    marcher and the energy studies accumulate the same numbers this way.
+    Transport is unitary, so these are the whole step's integrals too.  This
+    is one step of `run`'s kernel, from physical values to physical values.
     """
     eng = _engine_for(cfg, u)
-    half = transport_step(u, 0.5 * dt)
-    mid, dl2, dhs = eng.scatter(half.values, dt, u.spatial.cell_volume())
-    out = transport_step(
-        PhaseField(u.spatial, u.angular, mid, half.time), 0.5 * dt
-    )
-    return out, dl2, dhs
+    half = _transport_table(u.spatial, u.angular, 0.5 * dt)
+    spec = _to_spectrum(u)
+    spec *= half
+    dl2, dhs, _ = _scatter_spectrum(eng, spec, dt, _parseval_weights(u.spatial))
+    spec *= half
+    out = _to_values(u.spatial, spec)
+    return PhaseField(u.spatial, u.angular, out, u.time + 0.5 * dt + 0.5 * dt), dl2, dhs
 
 
 def strang_step(u, dt, cfg):
@@ -542,6 +644,9 @@ def run(cfg, u0):
     cadences.  Enforces mass conservation (1e-8 relative), per-step L2
     monotonicity (1e-10 slack), and finiteness; halts with
     InvariantViolation/StabilityViolation otherwise.
+
+    The state between emits is the rfftn spectrum just after a scattering
+    substep (see the module docstring); the per-step checks read it there.
     """
     if u0.min_value() < 0.0:
         raise ParameterOutOfRange(
@@ -553,54 +658,68 @@ def run(cfg, u0):
             f"t_end={cfg.t_end} is not an integer multiple of dt={cfg.dt}"
         )
     eng = _engine_for(cfg, u0)
-    u = u0.copy()
-    mass0 = u.mass()
-    l2_prev_step = u.l2()
+    g, angular = u0.spatial, u0.angular
+    half = _transport_table(g, angular, 0.5 * cfg.dt)
+    fused = half * half
+    row_weight = _parseval_weights(g)
+    zero_row = (0,) * g.d
+    spec = _to_spectrum(u0)
+    time = u0.time
+    mass0 = u0.mass()
+    l2_prev_step = u0.l2()
     l2_prev_emit = l2_prev_step
     hs_total = 0.0
     win_l2 = 0.0
     win_hs = 0.0
     records = [
-        DiagnosticsRecord(u.time, mass0, l2_prev_step, u.linf(), 0.0, 0.0)
+        DiagnosticsRecord(time, mass0, l2_prev_step, u0.linf(), 0.0, 0.0)
     ]
-    snapshots = [u.copy()] if cfg.snapshot_every else []
+    snapshots = [u0.copy()] if cfg.snapshot_every else []
     for step in range(1, n_steps + 1):
-        u, dl2, dhs = strang_step_energy(u, cfg.dt, cfg)
+        spec *= half if step == 1 else fused
+        dl2, dhs, l2sq = _scatter_spectrum(eng, spec, cfg.dt, row_weight)
+        # two half-steps, added in order: the same clock as strang_step_energy
+        time = time + 0.5 * cfg.dt + 0.5 * cfg.dt
         win_l2 += dl2
         win_hs += dhs
-        if not np.all(np.isfinite(u.values)):
-            raise InvariantViolation(f"non-finite values at t={u.time:.6g}")
-        l2_now = u.l2()
+        # a non-finite entry makes the Parseval sum non-finite
+        if not np.isfinite(l2sq) and not np.all(np.isfinite(spec)):
+            raise InvariantViolation(f"non-finite values at t={time:.6g}")
+        l2_now = np.sqrt(l2sq)
         if l2_now > l2_prev_step * (1.0 + L2_STEP_TOL):
             raise StabilityViolation(
                 f"L2 grew from {l2_prev_step:.12e} to {l2_now:.12e} at step {step}"
             )
-        mass_now = u.mass()
+        mass_now = g.cell_volume() * float(spec[zero_row].real @ angular.weights)
         if abs(mass_now - mass0) > MASS_TOL * abs(mass0):
             raise InvariantViolation(
                 f"mass drift {abs(mass_now - mass0) / abs(mass0):.3e} at step {step}"
             )
         l2_prev_step = l2_now
-        if step % cfg.diagnostics_every == 0 or step == n_steps:
+        emit = step % cfg.diagnostics_every == 0 or step == n_steps
+        snap = bool(cfg.snapshot_every) and (
+            step % cfg.snapshot_every == 0 or step == n_steps
+        )
+        if not (emit or snap):
+            continue
+        u = PhaseField(g, angular, _to_values(g, spec * half), time)
+        if emit:
+            l2_emit = u.l2()
             hs_total += win_hs
             residual = (
                 0.5 * l2_prev_emit**2
                 + eng.D1 * win_l2
-                - 0.5 * l2_now**2
+                - 0.5 * l2_emit**2
                 - eng.D0 * win_hs
             )
             records.append(
-                DiagnosticsRecord(
-                    u.time, mass_now, l2_now, u.linf(), hs_total, residual
-                )
+                DiagnosticsRecord(time, mass_now, l2_emit, u.linf(), hs_total, residual)
             )
-            l2_prev_emit = l2_now
+            l2_prev_emit = l2_emit
             win_l2 = 0.0
             win_hs = 0.0
-        if cfg.snapshot_every and (
-            step % cfg.snapshot_every == 0 or step == n_steps
-        ):
-            snapshots.append(u.copy())
+        if snap:
+            snapshots.append(u)
     return snapshots, records
 
 
@@ -699,16 +818,23 @@ def write_snapshot(u, path):
 def read_snapshot(path):
     """Returns (d, m, n_angular, time, values) from a snapshot file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SNAPSHOT_MAGIC:
-            raise InvariantViolation(f"bad snapshot magic {magic!r}")
-        version, d, m, n_ang = struct.unpack("<IIII", fh.read(16))
-        if version != SNAPSHOT_VERSION:
-            raise InvariantViolation(f"unsupported snapshot version {version}")
-        (time,) = struct.unpack("<d", fh.read(8))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    values = payload.reshape((m,) * d + (n_ang,)).astype(float)
-    return d, m, n_ang, time, values
+        raw = fh.read()
+    if raw[:4] != SNAPSHOT_MAGIC:
+        raise InvariantViolation(f"bad snapshot magic {raw[:4]!r}")
+    if len(raw) < SNAPSHOT_HEADER_BYTES:
+        raise InvariantViolation(f"snapshot header truncated at {len(raw)} bytes")
+    version, d, m, n_ang, time = struct.unpack_from("<IIIId", raw, 4)
+    if version != SNAPSHOT_VERSION:
+        raise InvariantViolation(f"unsupported snapshot version {version}")
+    payload = len(raw) - SNAPSHOT_HEADER_BYTES
+    want = 8 * m**d * n_ang
+    if payload != want:
+        raise InvariantViolation(
+            f"snapshot payload has {payload} bytes, expected {want} "
+            f"({m}^{d} cells x {n_ang} nodes)"
+        )
+    values = np.frombuffer(raw, dtype="<f8", offset=SNAPSHOT_HEADER_BYTES)
+    return d, m, n_ang, time, values.reshape((m,) * d + (n_ang,)).astype(float)
 
 
 def write_diagnostics(records, path):

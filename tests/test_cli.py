@@ -1,8 +1,13 @@
 """Batch interface: config validation, artifact emission, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import prte
 from prte.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -333,3 +338,20 @@ class TestOutDirectory:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "diagnostics.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestStartup:
+    """What a bare `import prte.cli` pulls in, which every job pays."""
+
+    def test_scipy_integrate_not_imported(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(prte.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = "import sys, prte.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False", "import prte.cli loaded scipy.integrate"

@@ -446,6 +446,22 @@ class TestSnapshotIO:
         with pytest.raises(InvariantViolation):
             read_snapshot(path)
 
+    def test_truncated_snapshot_rejected(self, tmp_path, grid2, ang2):
+        u = PhaseField(grid2, ang2, np.ones(grid2.shape + (64,)))
+        path = os.fspath(tmp_path / "state.snap")
+        write_snapshot(u, path)
+        raw = open(path, "rb").read()
+        for cut in (8, 1):
+            open(path, "wb").write(raw[:-cut])
+            with pytest.raises(InvariantViolation, match="payload"):
+                read_snapshot(path)
+        open(path, "wb").write(raw + bytes(8))
+        with pytest.raises(InvariantViolation, match="payload"):
+            read_snapshot(path)
+        open(path, "wb").write(raw[:20])
+        with pytest.raises(InvariantViolation, match="header"):
+            read_snapshot(path)
+
     def test_diagnostics_csv_format(self, tmp_path, grid2, ang2):
         u0 = make_initial("isotropic-blob", grid2, ang2)
         cfg = SolverConfig(kernel=SPEC2, dt=0.05, t_end=0.2, lmax=8)
