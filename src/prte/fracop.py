@@ -57,8 +57,8 @@ class PlaneGrid:
         check_dimension(self.d)
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ParameterOutOfRange(f"n must be a power of two, got {self.n}")
-        if self.L < 8.0:
-            raise ParameterOutOfRange(f"need L >= 8, got L = {self.L}")
+        if not (np.isfinite(self.L) and self.L >= 8.0):
+            raise ParameterOutOfRange(f"need finite L >= 8, got L = {self.L}")
         if self.h > 0.5:
             raise ParameterOutOfRange(f"need spacing 2L/n <= 0.5, got {self.h}")
 

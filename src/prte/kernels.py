@@ -152,8 +152,8 @@ class KernelSpec:
 
     def __post_init__(self):
         check_order(self.d, self.s)
-        if self.b1 < 0.0:
-            raise ParameterOutOfRange(f"need b1 >= 0, got {self.b1}")
+        if not (np.isfinite(self.b1) and self.b1 >= 0.0):
+            raise ParameterOutOfRange(f"need finite b1 >= 0, got {self.b1}")
         if self.h is not None:
             zs = np.linspace(-1.0, 1.0, 257)
             hv = np.asarray([self.h(z) for z in zs], dtype=float)
@@ -246,18 +246,27 @@ def parse_remainder(text):
 
     Accepted forms: ``none``, ``const:<c>`` for a constant c >= 0, and
     ``poly:<c0>,<c1>,...`` for a polynomial in z (validated nonnegative on a
-    sample of [-1, 1] by KernelSpec).
+    sample of [-1, 1] by KernelSpec).  Anything else, including a number
+    that does not parse or is not finite, raises ParameterOutOfRange.
     """
     text = text.strip()
     if text == "none" or text == "":
         return None
-    if text.startswith("const:"):
-        c = float(text.split(":", 1)[1])
-        if c < 0.0:
-            raise ParameterOutOfRange(f"constant remainder must be >= 0, got {c}")
+    kind, _, args = text.partition(":")
+    if kind not in ("const", "poly"):
+        raise ParameterOutOfRange(f"unrecognised remainder spec {text!r}")
+    try:
+        coeffs = [float(p) for p in args.split(",")]
+    except ValueError as exc:
+        raise ParameterOutOfRange(f"bad number in remainder spec {text!r}") from exc
+    if not np.all(np.isfinite(coeffs)):
+        raise ParameterOutOfRange(f"non-finite number in remainder spec {text!r}")
+    if kind == "const":
+        if len(coeffs) != 1 or coeffs[0] < 0.0:
+            raise ParameterOutOfRange(
+                f"constant remainder must be one number >= 0, got {args!r}"
+            )
+        c = coeffs[0]
         return lambda z, c=c: c
-    if text.startswith("poly:"):
-        coeffs = [float(p) for p in text.split(":", 1)[1].split(",")]
-        poly = np.polynomial.Polynomial(coeffs)
-        return lambda z, poly=poly: float(poly(z))
-    raise ParameterOutOfRange(f"unrecognised remainder spec {text!r}")
+    poly = np.polynomial.Polynomial(coeffs)
+    return lambda z, poly=poly: float(poly(z))

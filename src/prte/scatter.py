@@ -30,7 +30,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_legendre, gamma, roots_legendre
+from numpy.polynomial.legendre import leggauss
+from scipy.special import eval_legendre, gamma
 
 from .errors import (
     InvariantViolation,
@@ -98,7 +99,7 @@ def polar_quadrature(m_polar, m_azimuth=None):
         raise ParameterOutOfRange(f"need at least 2 polar nodes, got {m_polar}")
     if m_azimuth is None:
         m_azimuth = 2 * m_polar
-    t, tw = roots_legendre(m_polar)
+    t, tw = leggauss(m_polar)
     phi = 2.0 * np.pi * np.arange(m_azimuth) / m_azimuth
     st = np.sqrt(1.0 - t**2)
     nodes = np.stack(
@@ -269,7 +270,7 @@ class EigenTable:
 
 def _graded_panels(upper, n_panels, per_panel=16):
     """Composite Gauss-Legendre nodes/weights on (0, upper) split uniformly."""
-    gq, gw = roots_legendre(per_panel)
+    gq, gw = leggauss(per_panel)
     edges = np.linspace(0.0, upper, n_panels + 1)
     a = edges[:-1, None]
     bw = (edges[1:, None] - a) / 2.0

@@ -11,7 +11,14 @@ two backends:
 ``projected-plane``
     classical RK4 on the stereographic plane representation of the operator,
     with an empirical spectral-radius time-step bound, a two-thirds angular
-    de-aliasing filter, and per-node exact mass restoration.
+    de-aliasing filter, and per-node exact mass restoration.  That substep
+    is linear and the same for every row, so for a fixed dt it is one
+    n_nodes x n_nodes matrix M, built once per dt by pushing the identity
+    through the RK4 code.  A batch of at least n_nodes rows (values.size >=
+    n_nodes**2) is stepped as values @ M; a smaller batch runs the RK4 code
+    itself, since building M costs one RK4 substep on n_nodes rows and M is
+    then larger than the batch.  The H^s accounting is a plane Parseval sum
+    on the rfftn half-spectrum.
 
 Both backends are real-linear and the same at every x, so the whole step
 commutes with the spatial Fourier transform, and `run` marches in Fourier
@@ -89,8 +96,8 @@ class SpatialGrid:
     def __post_init__(self):
         if self.d not in (2, 3):
             raise ParameterOutOfRange(f"need d in {{2, 3}}, got {self.d}")
-        if self.X <= 0.0:
-            raise ParameterOutOfRange(f"need X > 0, got {self.X}")
+        if not (np.isfinite(self.X) and self.X > 0.0):
+            raise ParameterOutOfRange(f"need finite X > 0, got {self.X}")
         if self.m < 2 or self.m & (self.m - 1):
             raise ParameterOutOfRange(f"need m a power of two >= 2, got {self.m}")
 
@@ -198,10 +205,10 @@ class SolverConfig:
             raise UnknownKind(
                 f"backend {self.backend!r}; use sphere-spectral or projected-plane"
             )
-        if self.dt <= 0.0:
-            raise ParameterOutOfRange(f"need dt > 0, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ParameterOutOfRange(f"need t_end >= dt, got {self.t_end}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ParameterOutOfRange(f"need finite dt > 0, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
+            raise ParameterOutOfRange(f"need finite t_end >= dt, got {self.t_end}")
         if self.lmax < 1:
             raise ParameterOutOfRange(f"need lmax >= 1, got {self.lmax}")
         if self.snapshot_every < 0 or self.diagnostics_every < 1:
@@ -294,11 +301,13 @@ def _scatter_spectrum(eng, spec, dt, row_weight):
     """
     flat = spec.reshape(-1, spec.shape[-1])
     rows = flat.shape[0]
-    out, dl2, dhs = eng.scatter(np.concatenate((flat.real, flat.imag)), dt, row_weight)
+    out, dl2, dhs, l2sq = eng.scatter_l2(
+        np.concatenate((flat.real, flat.imag)), dt, row_weight
+    )
     # write through spec itself: flat is a copy when spec is not C-ordered
     spec.real = out[:rows].reshape(spec.shape)
     spec.imag = out[rows:].reshape(spec.shape)
-    return dl2, dhs, _norm_sq(out, eng.angular.weights, row_weight)
+    return dl2, dhs, l2sq
 
 
 def transport_step(u, dt):
@@ -376,7 +385,19 @@ def _decay_integral(lam, dt):
     return out
 
 
-class _SpectralEngine:
+class _Engine:
+    """
+    A scattering backend.  `scatter_l2(values, dt, row_weight)` returns the
+    new values, the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and
+    ||u||^2 after it.
+    """
+
+    def scatter(self, values, dt, row_weight):
+        """Returns (new values, int ||u||^2 dtau, int ||u||^2_{Hs} dtau)."""
+        return self.scatter_l2(values, dt, row_weight)[:3]
+
+
+class _SpectralEngine(_Engine):
     """Exact exponential integrator in the angular eigenbasis."""
 
     def __init__(self, kernel, angular, lmax):
@@ -435,8 +456,7 @@ class _SpectralEngine:
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
-    def scatter(self, values, dt, row_weight):
-        """Returns (new values, int ||u||^2 dtau, int ||u||^2_{Hs} dtau)."""
+    def scatter_l2(self, values, dt, row_weight):
         lam = self.lambdas
         spec = self._spectrum(values)
         resolved, unresolved = self._masses(spec, values, row_weight)
@@ -447,11 +467,18 @@ class _SpectralEngine:
         g = _decay_integral(lam, dt)
         l2_int = float(np.sum(resolved * g)) + unresolved * dt
         hs_int = float(np.sum(self.sigma * resolved * g))
-        return out, l2_int, hs_int
+        # free the input batch and its coefficients before the norm takes an
+        # out-sized temporary: this is where a d=3 march peaks in memory
+        del spec, values
+        return out, l2_int, hs_int, _norm_sq(out, self.angular.weights, row_weight)
 
 
-class _ProjectedEngine:
-    """RK4 on the stereographic plane form with de-aliasing and mass repair."""
+class _ProjectedEngine(_Engine):
+    """
+    RK4 on the stereographic plane form with de-aliasing and mass repair.
+    The substep is linear and the same for every row, so a batch of at least
+    n_nodes rows is stepped by one precomputed n_nodes x n_nodes map per dt.
+    """
 
     #: RK4 real-axis stability interval is |lam| dt <= 2.785; keep margin
     RK4_REACH = 2.5
@@ -480,7 +507,15 @@ class _ProjectedEngine:
             shape[a] = grid.n
             k2 = k2 + freqs.reshape(shape) ** 2
         self.mult_s = k2**s
-        self.mult_half = k2 ** (s / 2.0)
+        # plane Parseval on the rfftn half-spectrum: bins 0 and n/2 of the
+        # last plane axis are their own conjugate partners and count once,
+        # every other stored bin stands for itself and its partner
+        half = grid.n // 2 + 1
+        mult = np.full(half, 2.0)
+        mult[0] = mult[-1] = 1.0
+        self.hs_weight = (
+            grid.cell_volume() / grid.n**grid.ndim * self.mult_s[..., :half] * mult
+        )
         self.w0 = weight_profile(grid, s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -510,6 +545,7 @@ class _ProjectedEngine:
         self.filter_mask = mask
         self.wsum = float(angular.weights.sum())
         self._bound = None
+        self._maps = {}
 
     def _bop(self, f):
         """Batched spectral (-Lap)^s over the trailing plane axes."""
@@ -538,14 +574,10 @@ class _ProjectedEngine:
             self._bound = self.RK4_REACH / rho
         return self._bound
 
-    def scatter(self, values, dt, row_weight):
-        if dt > self.stability_bound():
-            raise StabilityViolation(
-                f"dt={dt} exceeds projected-backend bound {self.stability_bound():.3e}"
-            )
+    def _substep(self, values, dt):
+        """RK4 over dt, the two-thirds plane filter and the mass repair: a
+        linear map of each row, the same for every row."""
         w = self.angular.weights
-        pre_l2 = _norm_sq(values, w, row_weight)
-        pre_hs = self._hs_total(values, row_weight)
         pre_mass = values @ w
         k1 = self.apply(values)
         k2 = self.apply(values + 0.5 * dt * k1)
@@ -559,6 +591,37 @@ class _ProjectedEngine:
         f = np.fft.ifftn(np.where(self.filter_mask, spec, 0.0), axes=self.paxes).real
         out = f.reshape(out.shape)
         out += ((pre_mass - out @ w) / self.wsum)[..., None]
+        return out
+
+    def substep_map(self, dt):
+        """
+        `_substep` over dt as the matrix M with _substep(v) = v @ M: the
+        identity pushed through it once per dt.  Cached per dt, because
+        engines are shared between runs and study threads; two threads that
+        miss together both build the same M.
+        """
+        M = self._maps.get(dt)
+        if M is None:
+            M = self._substep(np.eye(len(self.angular.weights)), dt)
+            self._maps[dt] = M
+        return M
+
+    def scatter_l2(self, values, dt, row_weight):
+        if dt > self.stability_bound():
+            raise StabilityViolation(
+                f"dt={dt} exceeds projected-backend bound {self.stability_bound():.3e}"
+            )
+        w = self.angular.weights
+        n = len(w)
+        pre_l2 = _norm_sq(values, w, row_weight)
+        pre_hs = self._hs_total(values, row_weight)
+        # M costs one RK4 substep on n rows to build and n*n doubles to hold,
+        # so it is used only on a batch of at least n rows, which is never
+        # smaller than M; a smaller batch steps through the RK4 code itself
+        if values.size >= n * n:
+            out = (values.reshape(-1, n) @ self.substep_map(dt)).reshape(values.shape)
+        else:
+            out = self._substep(values, dt)
         post_l2 = _norm_sq(out, w, row_weight)
         if post_l2 > pre_l2 * (1.0 + GROWTH_TOL):
             raise StabilityViolation(
@@ -567,17 +630,16 @@ class _ProjectedEngine:
         post_hs = self._hs_total(out, row_weight)
         l2_int = 0.5 * dt * (pre_l2 + post_l2)
         hs_int = 0.5 * dt * (pre_hs + post_hs)
-        return out, l2_int, hs_int
+        return out, l2_int, hs_int, post_l2
 
     def _hs_total(self, values, row_weight):
-        """int ||(-Lap)^{s/2} (u w0)||^2 over space, via plane Parseval."""
+        """int ||(-Lap)^{s/2} (u w0)||^2 over space, via plane Parseval on the
+        rfftn half-spectrum (see `hs_weight` in __init__)."""
         f = values.reshape(values.shape[:-1] + self.pshape) * self.w0
-        spec = np.fft.fftn(f, axes=self.paxes)
-        npl = self.grid.n**self.grid.ndim
-        per_x = self.grid.cell_volume() / npl * np.sum(
-            self.mult_s * np.abs(spec) ** 2, axis=self.paxes
-        )
-        return float(_row_sum(row_weight, per_x[..., None])[0])
+        spec = np.fft.rfftn(f, axes=self.paxes)
+        power = spec.real**2 + spec.imag**2
+        per_x = power.reshape(-1, self.hs_weight.size) @ self.hs_weight.ravel()
+        return float(_row_sum(row_weight, per_x[:, None])[0])
 
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
@@ -756,16 +818,22 @@ def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
     ``harmonic-perturbation`` blob times (1 + contrast * normalized harmonic)
     """
     sigma = spatial.X / 10.0 if sigma is None else float(sigma)
-    if sigma <= 0.0:
-        raise ParameterOutOfRange(f"need sigma > 0, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0.0):
+        raise ParameterOutOfRange(f"need finite sigma > 0, got {sigma}")
     center = (spatial.X / 2.0,) * spatial.d if center is None else tuple(center)
+    if len(center) != spatial.d or not np.all(np.isfinite(center)):
+        raise ParameterOutOfRange(
+            f"need {spatial.d} finite center coordinates, got {center}"
+        )
+    if not np.isfinite(amplitude):
+        raise ParameterOutOfRange(f"need a finite amplitude, got {amplitude}")
     blob = amplitude * _spatial_gaussian(spatial, sigma, center)
     nodes = np.asarray(angular.nodes)
     if kind == "isotropic-blob":
         ang = np.ones(nodes.shape[0])
     elif kind == "gaussian-beam":
-        if sigma_theta <= 0.0:
-            raise ParameterOutOfRange(f"need sigma_theta > 0, got {sigma_theta}")
+        if not (np.isfinite(sigma_theta) and sigma_theta > 0.0):
+            raise ParameterOutOfRange(f"need finite sigma_theta > 0, got {sigma_theta}")
         ang = np.exp((nodes[:, 0] - 1.0) / sigma_theta**2)
     elif kind == "harmonic-perturbation":
         if not (0.0 <= contrast <= 1.0):

@@ -126,6 +126,24 @@ class TestConfigValidation:
         cfg = write_ini(tmp_path, BEAM_SOLVE.replace("kind = gaussian-beam", "kind = ring"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("remainder = none", "remainder = const:abc"),
+            ("sigma = 1.0", "sigma = 1.0\ncenter = 1.0"),
+            ("b1 = 1.0", "b1 = nan"),
+            ("b1 = 1.0", "b1 = inf"),
+            ("X = 8.0", "X = nan"),
+            ("dt = 0.02", "dt = nan"),
+        ],
+        ids=["remainder-abc", "center-short", "b1-nan", "b1-inf", "X-nan", "dt-nan"],
+    )
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, old, new):
+        cfg = write_ini(tmp_path, BEAM_SOLVE.replace(old, new))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, err
+
 
 class TestSolve:
     """Artifact emission and in-run invariant enforcement."""
@@ -355,3 +373,23 @@ class TestStartup:
             check=True,
         )
         assert out.stdout.strip() == "False", "import prte.cli loaded scipy.integrate"
+
+    def test_d2_solve_leaves_scipy_linalg_unloaded(self, tmp_path):
+        """Gauss-Legendre rules come from numpy: the Funk-Hecke quadrature of a
+        d=2 sphere-spectral solve must not pay for importing scipy.linalg."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(prte.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        args = ["solve", "--config", write_ini(tmp_path, BEAM_SOLVE), "--out", str(tmp_path)]
+        probe = (
+            f"import sys, prte.cli; code = prte.cli.main({args!r}); "
+            "print(code, 'scipy.linalg' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        last = out.stdout.strip().splitlines()[-1]
+        assert last == "0 False", f"a d=2 solve ended with {last!r} (exit code, scipy.linalg loaded)"
