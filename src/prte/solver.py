@@ -14,11 +14,12 @@ two backends:
     de-aliasing filter, and per-node exact mass restoration.  That substep
     is linear and the same for every row, so for a fixed dt it is one
     n_nodes x n_nodes matrix M, built once per dt by pushing the identity
-    through the RK4 code.  A batch of at least n_nodes rows (values.size >=
-    n_nodes**2) is stepped as values @ M; a smaller batch runs the RK4 code
-    itself, since building M costs one RK4 substep on n_nodes rows and M is
-    then larger than the batch.  The H^s accounting is a plane Parseval sum
-    on the rfftn half-spectrum.
+    through the RK4 code, and every batch is stepped as values @ M.  M holds
+    n_nodes**2 doubles and costs 2 n_nodes flops a value, against a few plane
+    FFTs for RK4, so the map serves planes of at most MAP_MAX_NODES = 4096
+    nodes (a d = 3 64^2 plane, 128 MiB), the largest measured; a larger
+    plane is stepped by the RK4 code itself.  The H^s accounting is a plane
+    Parseval sum on the rfftn half-spectrum.
 
 Both backends are real-linear and the same at every x, so the whole step
 commutes with the spatial Fourier transform, and `run` marches in Fourier
@@ -476,12 +477,20 @@ class _SpectralEngine(_Engine):
 class _ProjectedEngine(_Engine):
     """
     RK4 on the stereographic plane form with de-aliasing and mass repair.
-    The substep is linear and the same for every row, so a batch of at least
-    n_nodes rows is stepped by one precomputed n_nodes x n_nodes map per dt.
+    The substep is linear and the same for every row, so on planes of at
+    most MAP_MAX_NODES nodes it is one precomputed n_nodes x n_nodes map per
+    dt.
     """
 
     #: RK4 real-axis stability interval is |lam| dt <= 2.785; keep margin
     RK4_REACH = 2.5
+    #: largest plane stepped by its map.  At 4096 nodes (d = 2 n = 4096 and
+    #: d = 3 64^2) the map beats RK4 per row and M takes 128 MiB; larger
+    #: planes were not measured, and M grows as n_nodes**2
+    MAP_MAX_NODES = 4096
+    #: identity rows pushed through the RK4 code at a time while M is built,
+    #: so the build holds M and one block's RK4 temporaries
+    MAP_BUILD_ROWS = 256
 
     def __init__(self, kernel, angular, lmax):
         if not isinstance(angular, ProjectedAngularGrid):
@@ -602,7 +611,11 @@ class _ProjectedEngine(_Engine):
         """
         M = self._maps.get(dt)
         if M is None:
-            M = self._substep(np.eye(len(self.angular.weights)), dt)
+            n = len(self.angular.weights)
+            M = np.empty((n, n))
+            for i in range(0, n, self.MAP_BUILD_ROWS):
+                rows = min(self.MAP_BUILD_ROWS, n - i)
+                M[i : i + rows] = self._substep(np.eye(rows, n, k=i), dt)
             self._maps[dt] = M
         return M
 
@@ -615,10 +628,7 @@ class _ProjectedEngine(_Engine):
         n = len(w)
         pre_l2 = _norm_sq(values, w, row_weight)
         pre_hs = self._hs_total(values, row_weight)
-        # M costs one RK4 substep on n rows to build and n*n doubles to hold,
-        # so it is used only on a batch of at least n rows, which is never
-        # smaller than M; a smaller batch steps through the RK4 code itself
-        if values.size >= n * n:
+        if n <= self.MAP_MAX_NODES:
             out = (values.reshape(-1, n) @ self.substep_map(dt)).reshape(values.shape)
         else:
             out = self._substep(values, dt)

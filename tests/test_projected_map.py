@@ -2,12 +2,13 @@
 The projected-plane substep as one precomputed map per dt.
 
 RK4 in dt*A, the two-thirds plane filter and the mass repair are linear and
-the same for every row, so the engine steps a batch of at least n_nodes rows
-by v @ M, with M the identity pushed through the RK4 code once per dt, and
-smaller batches through the RK4 code itself.  Both routes must agree to
-1e-13 relative on random fields, on a d = 2 plane and on a d = 3 32^2
-plane; M must conserve the angular mass; and the half-spectrum H^s sum must
-equal the complex-fftn form it replaced, which is kept here as the oracle.
+the same for every row, so the engine steps every batch by v @ M, with M
+the identity pushed through the RK4 code once per dt, on planes of at most
+MAP_MAX_NODES nodes, and through the RK4 code itself on larger planes.
+Both routes must agree to 1e-13 relative on random fields, on a d = 2 plane
+and on a d = 3 32^2 plane; M must conserve the angular mass; and the
+half-spectrum H^s sum must equal the complex-fftn form it replaced, which
+is kept here as the oracle.
 """
 
 from dataclasses import replace
@@ -59,38 +60,42 @@ def oracle_hs_total(eng, values, row_weight):
 
 @pytest.mark.parametrize("name", CASES)
 def test_map_route_matches_rk4(name):
+    """Batches shorter and taller than M both step by the map."""
     eng, dt = engine(name)
     n = len(eng.angular.weights)
     rng = np.random.default_rng(1)
-    values = rng.standard_normal((n + 7, n))
-    out, _, _ = eng.scatter(values, dt, rng.random(n + 7))
-    assert dt in eng._maps, "a batch of n_nodes rows or more must use the map"
-    assert rel_dev(out, eng._substep(values, dt)) <= REL_TOL
+    for rows in (3, n + 7):
+        values = rng.standard_normal((rows, n))
+        out, _, _ = eng.scatter(values, dt, rng.random(rows))
+        assert dt in eng._maps, "a plane under MAP_MAX_NODES steps by its map"
+        assert rel_dev(out, eng._substep(values, dt)) <= REL_TOL
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_short_batch_takes_rk4_route(name):
-    eng, dt = engine(name)
-    n = len(eng.angular.weights)
+def test_plane_over_limit_takes_rk4_route(name):
+    """An engine whose plane exceeds MAP_MAX_NODES never builds M, and its
+    RK4 route agrees with the map route of an engine under the limit."""
+    big, dt = engine(name)
+    n = len(big.angular.weights)
+    big.MAP_MAX_NODES = n - 1
+    small, _ = engine(name)
     rng = np.random.default_rng(2)
-    tall = rng.standard_normal((n, n))
-    rows = n // 4
-    short, _, _ = eng.scatter(tall[:rows], dt, 1.0)
-    assert eng._maps == {}, "a batch under n_nodes rows must not build the map"
-    full, _, _ = eng.scatter(tall, dt, 1.0)
-    assert dt in eng._maps
-    assert rel_dev(short, full[:rows]) <= REL_TOL
+    values = rng.standard_normal((n // 4, n))
+    got, _, _ = big.scatter(values, dt, 1.0)
+    assert big._maps == {}, "a plane over the limit must not build the map"
+    want, _, _ = small.scatter(values, dt, 1.0)
+    assert dt in small._maps
+    assert rel_dev(got, want) <= REL_TOL
 
 
 @pytest.mark.parametrize("name, m", [("d2", 8), ("d3", 16)])
-def test_physical_scattering_step_counts_rows_by_size(name, m):
-    """(m, ..., m, n_nodes) fields with fewer than n_nodes cells along the
-    first axis but m^d >= n_nodes rows in all take the map route."""
+def test_physical_scattering_step_takes_map_route(name, m):
+    """A physical-space (m, ..., m, n_nodes) field steps by the map through
+    its flattened rows and matches the RK4 code row by row."""
     spec, plane = CASES[name]
     angular = ProjectedAngularGrid(plane)
     n = len(angular.weights)
     grid = SpatialGrid(spec.d, 8.0, m)
-    assert m < n <= m**spec.d
     rng = np.random.default_rng(3)
     u = PhaseField(grid, angular, rng.standard_normal(grid.shape + (n,)))
     cfg = SolverConfig(
@@ -100,7 +105,7 @@ def test_physical_scattering_step_counts_rows_by_size(name, m):
     eng = _engine_for(cfg, u)
     dt = 0.5 * eng.stability_bound()
     got = scattering_step(u, dt, replace(cfg, dt=dt, t_end=dt)).values
-    assert dt in eng._maps, "the map route must count rows by values.size"
+    assert dt in eng._maps
     flat = u.values.reshape(-1, n)
     # the RK4 oracle in blocks of rows, to keep its temporaries small
     want = np.concatenate(
