@@ -22,7 +22,10 @@ Config sections and keys (unknown ones are hard errors):
               probe_width, probe_cut
 
 The level-set ladder is given as fractions of max u(0); the other ladders are
-absolute (g values for hg-convergence/operator-rate).
+absolute (g values for hg-convergence/operator-rate).  `[grids] lmax` bounds
+`eigs` and the d=3 sphere-spectral engine; the d=2 sphere-spectral engine
+ignores it and resolves every circular bin, angles // 2, and the
+projected-plane engine ignores it too.
 """
 
 import argparse

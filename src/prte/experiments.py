@@ -21,15 +21,12 @@ from .errors import (
     ParameterOutOfRange,
     WindowTooShort,
 )
-from .fracop import frac_lap_g, frac_lap_spectral, kappa_limit
+from .fracop import frac_lap_g, frac_lap_spectral, kappa_limit, lattice_k2
 from .kernels import HGSpec, KernelSpec, hg_limit_b1
-from .solver import (
-    PhaseField,
-    _energy_constants,
-    energy_functionals,
-    run,
-    strang_step_energy,
-)
+from .solver import _energy_constants, run
+
+# not called here; kept so that perfbench/tracing.py can still wrap these names
+from .solver import energy_functionals, strang_step_energy  # noqa: F401
 
 REPORT_HEADER = "kind,label,parameter,value,exponent,residual,passed"
 
@@ -204,29 +201,10 @@ def regularity_exponent(d, s, delta=0.5):
 def _hbeta_seminorm_sq(snap, beta):
     """||rho||^2 in the homogeneous H^beta multiplier sense, |k|^{2 beta}."""
     g = snap.spatial
-    k = g.wavenumbers()
-    k2 = np.zeros(g.shape)
-    for a in range(g.d):
-        shape = [1] * g.d
-        shape[a] = g.m
-        k2 = k2 + k.reshape(shape) ** 2
-    mult = k2**beta
+    mult = lattice_k2(g.wavenumbers(), g.d) ** beta
     spec = np.fft.fftn(rho(snap))
     npts = g.m**g.d
     return float(g.cell_volume() / npts * np.sum(mult * np.abs(spec) ** 2))
-
-
-def rho_regularity(snapshots, s, delta=0.5):
-    """
-    Time integral (trapezoid over the snapshot ladder) of the squared H^beta
-    seminorm of the averaged density, with beta from regularity_exponent.
-    """
-    if len(snapshots) < 2:
-        raise ParameterOutOfRange("need at least two snapshots to integrate in time")
-    beta = regularity_exponent(snapshots[0].spatial.d, s, delta)
-    times = [snap.time for snap in snapshots]
-    vals = [_hbeta_seminorm_sq(snap, beta) for snap in snapshots]
-    return float(np.trapezoid(vals, times))
 
 
 def rho_regularity_study(cfg, u0, delta=0.5):
@@ -235,11 +213,10 @@ def rho_regularity_study(cfg, u0, delta=0.5):
     The bound being probed is qualitative; the gates here are finiteness and
     bookkeeping, not a constant.
     """
-    base = cfg.kernel.base if isinstance(cfg.kernel, HGSpec) else cfg.kernel
     n_steps = int(round(cfg.t_end / cfg.dt))
     every = max(1, n_steps // 8)
     snaps, _ = run(replace(cfg, snapshot_every=every), u0)
-    beta = regularity_exponent(u0.spatial.d, base.s, delta)
+    beta = regularity_exponent(u0.spatial.d, cfg.kernel.base.s, delta)
     times = tuple(snap.time for snap in snaps)
     vals = tuple(_hbeta_seminorm_sq(snap, beta) for snap in snaps)
     total = float(np.trapezoid(vals, times))
@@ -439,12 +416,6 @@ def operator_rate_study(psi, s, g_ladder, threads=1):
 # level-set energies
 
 
-def _truncate(u, lam):
-    return PhaseField(
-        u.spatial, u.angular, np.maximum(u.values - lam, 0.0), u.time
-    )
-
-
 def level_set_energy_check(cfg, u0, lambdas):
     """
     For each level height lambda, verify the truncated-energy inequality on
@@ -453,10 +424,11 @@ def level_set_energy_check(cfg, u0, lambdas):
         0.5 ||u_lam(t')||^2 + D1 int ||u_lam||^2 - 0.5 ||u_lam(t)||^2
           - D0 int ||u_lam||^2_{Hs}
 
-    must not drop below -1e-6 times the interval-start norm.  lambda = 0
-    accumulates the same per-mode closed forms the marcher uses (so it must
-    reproduce the marcher's own residual stream exactly); positive lambdas
-    use endpoint-trapezoid time quadrature of the truncated functionals.
+    must not drop below -1e-6 times the interval-start norm.  The check
+    observes one `run` step by step.  lambda = 0 accumulates the per-step
+    closed forms the marcher reports (so it must reproduce the marcher's own
+    residual stream exactly); positive lambdas use endpoint-trapezoid time
+    quadrature of the truncated functionals.
     """
     lambdas = tuple(float(l) for l in lambdas)
     if len(lambdas) < 3:
@@ -466,58 +438,65 @@ def level_set_energy_check(cfg, u0, lambdas):
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ParameterOutOfRange("lambda ladder must increase strictly")
     D0, D1, _ = _energy_constants(cfg.kernel)
-    _, records = run(replace(cfg, snapshot_every=0), u0)
-
     n_steps = int(round(cfg.t_end / cfg.dt))
     positives = [l for l in lambdas if l > 0.0]
-    u = u0.copy()
     # lambda = 0: marcher-style accumulation; lambda > 0: trapezoid endpoints
-    l2_emit0 = u.l2() ** 2
-    win_l20 = 0.0
-    win_hs0 = 0.0
+    step = -1
+    l2_emit0 = win_l20 = win_hs0 = 0.0
+    zero_residuals = []
     state = {}
-    for lam in positives:
-        f = energy_functionals(_truncate(u, lam), cfg)
-        state[lam] = {"prev": f, "emit": f[0], "win_l2": 0.0, "win_hs": 0.0}
     worst = {lam: np.inf for lam in lambdas}
-    zero_dev = 0.0
-    emit_idx = 0
-    for step in range(1, n_steps + 1):
-        u, dl2, dhs = strang_step_energy(u, cfg.dt, cfg)
+
+    def observe(u, dl2, dhs, functionals):
+        nonlocal step, l2_emit0, win_l20, win_hs0
+        step += 1
+        if step == 0:
+            l2_emit0 = u.l2() ** 2
+            for lam in positives:
+                f = functionals(np.maximum(u.values - lam, 0.0))
+                state[lam] = {"prev": f, "emit": f[0], "win_l2": 0.0, "win_hs": 0.0}
+            return
         win_l20 += dl2
         win_hs0 += dhs
         for lam in positives:
             st = state[lam]
-            f = energy_functionals(_truncate(u, lam), cfg)
+            f = functionals(np.maximum(u.values - lam, 0.0))
             st["win_l2"] += 0.5 * cfg.dt * (st["prev"][0] + f[0])
             st["win_hs"] += 0.5 * cfg.dt * (st["prev"][1] + f[1])
             st["prev"] = f
-        if step % cfg.diagnostics_every == 0 or step == n_steps:
-            emit_idx += 1
-            l2_now0 = u.l2() ** 2
-            res0 = 0.5 * l2_emit0 + D1 * win_l20 - 0.5 * l2_now0 - D0 * win_hs0
-            if 0.0 in lambdas:
-                denom = l2_emit0 if l2_emit0 > 0.0 else 1.0
-                worst[0.0] = min(worst[0.0], res0 / denom)
-                zero_dev = max(
-                    zero_dev, abs(res0 - records[emit_idx].energy_residual)
-                )
-            l2_emit0 = l2_now0
-            win_l20 = 0.0
-            win_hs0 = 0.0
-            for lam in positives:
-                st = state[lam]
-                res = (
-                    0.5 * st["emit"]
-                    + D1 * st["win_l2"]
-                    - 0.5 * st["prev"][0]
-                    - D0 * st["win_hs"]
-                )
-                denom = st["emit"] if st["emit"] > 0.0 else 1.0
-                worst[lam] = min(worst[lam], res / denom)
-                st["emit"] = st["prev"][0]
-                st["win_l2"] = 0.0
-                st["win_hs"] = 0.0
+        if not (step % cfg.diagnostics_every == 0 or step == n_steps):
+            return
+        l2_now0 = u.l2() ** 2
+        res0 = 0.5 * l2_emit0 + D1 * win_l20 - 0.5 * l2_now0 - D0 * win_hs0
+        zero_residuals.append(res0)
+        if 0.0 in lambdas:
+            denom = l2_emit0 if l2_emit0 > 0.0 else 1.0
+            worst[0.0] = min(worst[0.0], res0 / denom)
+        l2_emit0 = l2_now0
+        win_l20 = 0.0
+        win_hs0 = 0.0
+        for lam in positives:
+            st = state[lam]
+            res = (
+                0.5 * st["emit"]
+                + D1 * st["win_l2"]
+                - 0.5 * st["prev"][0]
+                - D0 * st["win_hs"]
+            )
+            denom = st["emit"] if st["emit"] > 0.0 else 1.0
+            worst[lam] = min(worst[lam], res / denom)
+            st["emit"] = st["prev"][0]
+            st["win_l2"] = 0.0
+            st["win_hs"] = 0.0
+
+    _, records = run(replace(cfg, snapshot_every=0), u0, observe)
+    # one observed window per diagnostics row after the first, or no match
+    rows = records[1:]
+    zero_dev = (
+        max(abs(r - rec.energy_residual) for r, rec in zip(zero_residuals, rows))
+        if len(zero_residuals) == len(rows)
+        else np.inf
+    )
     values = tuple(worst[lam] for lam in lambdas)
     checks = [
         CheckResult(

@@ -155,6 +155,16 @@ def _check_leakage(grid, f, who):
         )
 
 
+def lattice_k2(k, ndim):
+    """|k|^2 on the ndim-dimensional tensor lattice of the per-axis
+    wavenumbers k, FFT order: k_0^2 + k_1^2 + ..., summed in axis order."""
+    sq = k**2
+    k2 = sq
+    for _ in range(1, ndim):
+        k2 = np.add.outer(k2, sq)
+    return k2
+
+
 def frac_lap_spectral(grid, f, s):
     """
     (-Lap)^s f through the Fourier multiplier |xi|^{2s} on the periodized lattice.
@@ -170,8 +180,7 @@ def frac_lap_spectral(grid, f, s):
     if grid.ndim == 1:
         mult = np.abs(k) ** (2.0 * s)
         return np.fft.ifft(mult * np.fft.fft(f)).real
-    k2 = k[:, None] ** 2 + k[None, :] ** 2
-    mult = k2 ** s
+    mult = lattice_k2(k, 2) ** s
     return np.fft.ifft2(mult * np.fft.fft2(f)).real
 
 

@@ -162,6 +162,11 @@ class KernelSpec:
         object.__setattr__(self, "h_l1", _remainder_mass(self.d, self.h))
 
     @property
+    def base(self):
+        """The limiting kernel itself, as `HGSpec.base` is for an approximant."""
+        return self
+
+    @property
     def alpha(self):
         """Singularity exponent alpha = (d-1)/2 + s."""
         return (self.d - 1) / 2.0 + self.s

@@ -239,11 +239,6 @@ def _kernel_on(kernel, z):
     return limiting_kernel(kernel, z)
 
 
-def _kernel_params(kernel):
-    base = kernel.base if isinstance(kernel, HGSpec) else kernel
-    return base.d, base.s
-
-
 @dataclass(frozen=True)
 class EigenTable:
     """Funk-Hecke eigenvalues lambda_0..lambda_lmax of a scattering kernel."""
@@ -282,7 +277,7 @@ def _graded_panels(upper, n_panels, per_panel=16):
 def _eig_integral(kernel, lmax, n_panels):
     """All lambda_l on one graded mesh; the grading exponent flattens the
     (1-t)^{-alpha} endpoint so plain Gauss panels converge spectrally."""
-    d, s = _kernel_params(kernel)
+    d, s = kernel.base.d, kernel.base.s
     ell = np.arange(lmax + 1)[:, None]
     if d == 2:
         # 2 int_0^pi (cos(l phi) - 1) b(cos phi) dphi,  phi = sigma^{1/(1-s)}
@@ -452,7 +447,7 @@ def apply_scatter_weak(quad, u, spec, lmax, ladder=EPS_LADDER):
     on the cutoff ladder, extrapolate each coefficient to eps -> 0, and
     synthesize.  Returns values on the quadrature nodes.
     """
-    _, s = _kernel_params(spec)
+    s = spec.base.s
     if lmax > quad.lmax_cap():
         raise ParameterOutOfRange(
             f"lmax {lmax} exceeds alias cap {quad.lmax_cap()}"
@@ -492,7 +487,7 @@ def hs_norm(quad, u, spec, grid, lmax=None):
     harmonic basis on a multi-million-point lattice grows as (lmax + 1)^2
     columns; pass it explicitly for wider-band fields.
     """
-    _, s = _kernel_params(spec)
+    s = spec.base.s
     u = np.asarray(u, dtype=float)
     z = np.clip(quad.nodes @ quad.nodes.T, -1.0, 1.0)
     chord2 = 2.0 * (1.0 - z)

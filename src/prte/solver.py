@@ -36,7 +36,10 @@ calls weight every row by the cell volume.  The per-step checks read the
 spectrum (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
 half-step and irfftn run only when a diagnostics row or a snapshot needs
 physical values.  `transport_step` and `strang_step_energy` are one-step
-wrappers over the same table and kernel.
+wrappers over the same table and kernel.  A study that needs the state after
+every step subscribes to `run` through its `observe` argument instead of
+marching again.  Each `run`, and each one-step call, builds its own
+scattering engine, which lives as long as that call.
 
 Energy accounting: both time integrals entering the L2-vs-H^s energy
 inequality are accumulated from the same per-mode closed forms inside the
@@ -59,7 +62,7 @@ from .errors import (
     StabilityViolation,
     UnknownKind,
 )
-from .fracop import PlaneGrid, weight_profile
+from .fracop import PlaneGrid, lattice_k2, weight_profile
 from .kernels import HGSpec, KernelSpec, conformal_eigenvalue, constants
 from .scatter import (
     SphereQuadrature,
@@ -279,15 +282,23 @@ def _dot_theta(out, per_axis, theta):
         out += per_axis[: out.shape[a]].reshape(shape) * theta[:, a]
 
 
+def _half_multiplicity(n):
+    """
+    How many bins of a length-n spectrum each rfft bin stands for.  The
+    stored half holds one bin of each conjugate pair, except bin 0 and, for
+    even n, the Nyquist bin n/2, which are their own partners and count once.
+    """
+    mult = np.full(n // 2 + 1, 2.0)
+    mult[0] = 1.0
+    if n % 2 == 0:
+        mult[-1] = 1.0
+    return mult
+
+
 def _parseval_weights(spatial):
-    """
-    One weight per rfftn bin: sum_k w_k |U_k|^2 = cell_volume sum_x |u_x|^2.
-    The stored half holds one bin of each conjugate pair, except in the zero
-    and Nyquist columns of the last axis, whose bins are their own partners.
-    """
+    """One weight per rfftn bin: sum_k w_k |U_k|^2 = cell_volume sum_x |u_x|^2."""
     g = spatial
-    mult = np.full(g.m // 2 + 1, 2.0)
-    mult[0] = mult[-1] = 1.0
+    mult = _half_multiplicity(g.m)
     w = np.broadcast_to(g.cell_volume() / g.m**g.d * mult, g.shape[:-1] + mult.shape)
     # the real and the imaginary batch rows carry the same weights
     return np.tile(w.ravel(), 2)
@@ -330,18 +341,13 @@ def transport_step(u, dt):
 # scattering engines
 
 
-def _kernel_base(kernel):
-    return kernel.base if isinstance(kernel, HGSpec) else kernel
-
-
 def _null_kernel(kernel):
-    base = _kernel_base(kernel)
-    return (not isinstance(kernel, HGSpec)) and base.b1 == 0.0 and base.h is None
+    return not isinstance(kernel, HGSpec) and kernel.b1 == 0.0 and kernel.h is None
 
 
 def _energy_constants(kernel):
     """(D0, D1, sigma-prefactor flag): degenerate cleanly when b1 = 0."""
-    base = _kernel_base(kernel)
+    base = kernel.base
     if base.b1 > 0.0:
         cst = constants(base)
         return cst.D0, cst.D1, True
@@ -355,7 +361,7 @@ def _sigma_table(kernel, lmax, with_b1):
     (mu_l the conformal eigenvalues), so that D0 sigma_l = D c_bessel -
     lambda_l of the pure power-law part.
     """
-    base = _kernel_base(kernel)
+    base = kernel.base
     if not with_b1:
         return np.zeros(lmax + 1)
     mu = np.array([conformal_eigenvalue(base.d, base.s, l) for l in range(lmax + 1)])
@@ -408,8 +414,7 @@ class _SpectralEngine(_Engine):
             )
         self.kernel = kernel
         self.angular = angular
-        base = _kernel_base(kernel)
-        self.d = base.d
+        self.d = kernel.base.d
         m = len(angular.weights)
         if self.d == 2:
             # diagonal on every resolvable circular bin
@@ -438,13 +443,9 @@ class _SpectralEngine(_Engine):
         """Per-degree mode masses plus the beyond-band remainder (d=3 only)."""
         if self.d == 2:
             m = values.shape[-1]
-            # Parseval mode masses: bins 0 and m/2 appear once, others twice
-            mult = np.full(m // 2 + 1, 2.0)
-            mult[0] = 1.0
-            if m % 2 == 0:
-                mult[-1] = 1.0
+            # Parseval mode masses over the angular rfft bins
             power = _row_sum(row_weight, np.abs(spec) ** 2)
-            return (2.0 * np.pi / m**2) * mult * power, 0.0
+            return (2.0 * np.pi / m**2) * _half_multiplicity(m) * power, 0.0
         per_mode = _row_sum(row_weight, spec**2)
         resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
         total = _norm_sq(values, self.angular.weights, row_weight)
@@ -497,49 +498,37 @@ class _ProjectedEngine(_Engine):
             raise ParameterOutOfRange(
                 "projected-plane backend needs ProjectedAngularGrid angular nodes"
             )
-        base = _kernel_base(kernel)
         if isinstance(kernel, HGSpec):
             raise ParameterOutOfRange(
                 "projected-plane backend integrates the limiting kernel only"
             )
-        self.kernel = base
+        self.kernel = kernel
         self.angular = angular
         grid = angular.plane
         self.grid = grid
         self.pshape = grid.shape
         self.paxes = tuple(range(-grid.ndim, 0))
-        s = base.s
-        k2 = np.zeros(grid.shape)
-        freqs = grid.freq()
-        for a in range(grid.ndim):
-            shape = [1] * grid.ndim
-            shape[a] = grid.n
-            k2 = k2 + freqs.reshape(shape) ** 2
-        self.mult_s = k2**s
-        # plane Parseval on the rfftn half-spectrum: bins 0 and n/2 of the
-        # last plane axis are their own conjugate partners and count once,
-        # every other stored bin stands for itself and its partner
-        half = grid.n // 2 + 1
-        mult = np.full(half, 2.0)
-        mult[0] = mult[-1] = 1.0
-        self.hs_weight = (
-            grid.cell_volume() / grid.n**grid.ndim * self.mult_s[..., :half] * mult
-        )
+        s = kernel.s
+        self.mult_s = lattice_k2(grid.freq(), grid.ndim) ** s
+        # plane Parseval on the rfftn half-spectrum of the last plane axis
+        mult = _half_multiplicity(grid.n)
+        half = self.mult_s[..., : mult.size]
+        self.hs_weight = grid.cell_volume() / grid.n**grid.ndim * half * mult
         self.w0 = weight_profile(grid, s)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             from .fracop import frac_lap_spectral
 
             self.bw0 = frac_lap_spectral(grid, self.w0, s)
-        cst = constants(base)
+        cst = constants(kernel)
         # node values evolve with the unweighted rate: the plane form yields
         # [I(u)]_J <v>^{-(d-1)}, so undo the weight here (stiff in the halo,
         # which is what the power-iteration dt bound measures)
         self.front = cst.D * grid.bracket() ** (2.0 * s + grid.ndim)
-        self.D0, self.D1, _ = _energy_constants(base)
-        if base.h is not None:
+        self.D0, self.D1, _ = _energy_constants(kernel)
+        if kernel.h is not None:
             z = np.clip(angular.nodes @ angular.nodes.T, -1.0, 1.0)
-            hmat = base.remainder(z) * angular.weights[None, :]
+            hmat = kernel.remainder(z) * angular.weights[None, :]
             self.hmat = hmat
             self.hrow = hmat.sum(axis=1)
         else:
@@ -605,9 +594,8 @@ class _ProjectedEngine(_Engine):
     def substep_map(self, dt):
         """
         `_substep` over dt as the matrix M with _substep(v) = v @ M: the
-        identity pushed through it once per dt.  Cached per dt, because
-        engines are shared between runs and study threads; two threads that
-        miss together both build the same M.
+        identity pushed through it once per dt, and kept per dt for the rest
+        of the engine's life.
         """
         M = self._maps.get(dt)
         if M is None:
@@ -657,17 +645,10 @@ class _ProjectedEngine(_Engine):
         return l2sq, self._hs_total(values, row_weight)
 
 
-_ENGINES = {}
-
-
 def _engine_for(cfg, u):
-    key = (cfg.backend, cfg.kernel, cfg.lmax, id(u.angular))
-    eng = _ENGINES.get(key)
-    if eng is None:
-        cls = _SpectralEngine if cfg.backend == "sphere-spectral" else _ProjectedEngine
-        eng = cls(cfg.kernel, u.angular, cfg.lmax)
-        _ENGINES[key] = eng
-    return eng
+    """A new scattering engine for cfg on u's angular grid."""
+    cls = _SpectralEngine if cfg.backend == "sphere-spectral" else _ProjectedEngine
+    return cls(cfg.kernel, u.angular, cfg.lmax)
 
 
 def scattering_step(u, dt, cfg):
@@ -710,7 +691,7 @@ def energy_functionals(u, cfg):
 # full runs
 
 
-def run(cfg, u0):
+def run(cfg, u0, observe=None):
     """
     March u0 to t_end, emitting diagnostics and snapshots at the configured
     cadences.  Enforces mass conservation (1e-8 relative), per-step L2
@@ -719,6 +700,13 @@ def run(cfg, u0):
 
     The state between emits is the rfftn spectrum just after a scattering
     substep (see the module docstring); the per-step checks read it there.
+
+    `observe(u, dl2, dhs, functionals)`, when given, is called for u0 with
+    dl2 = dhs = 0.0 and then after every step, with the physical field u
+    (the one an emit builds), that step's int ||u||^2 dtau and
+    int ||u||^2_Hs dtau, and `functionals(values)`, this run's
+    (||u||^2, ||u||^2_Hs) at cell-volume weight.  The run builds its
+    scattering engine once and drops it when it returns.
     """
     if u0.min_value() < 0.0:
         raise ParameterOutOfRange(
@@ -731,6 +719,10 @@ def run(cfg, u0):
         )
     eng = _engine_for(cfg, u0)
     g, angular = u0.spatial, u0.angular
+
+    def functionals(values):
+        return eng.functionals(values, g.cell_volume())
+
     half = _transport_table(g, angular, 0.5 * cfg.dt)
     fused = half * half
     row_weight = _parseval_weights(g)
@@ -747,6 +739,8 @@ def run(cfg, u0):
         DiagnosticsRecord(time, mass0, l2_prev_step, u0.linf(), 0.0, 0.0)
     ]
     snapshots = [u0.copy()] if cfg.snapshot_every else []
+    if observe is not None:
+        observe(u0, 0.0, 0.0, functionals)
     for step in range(1, n_steps + 1):
         spec *= half if step == 1 else fused
         dl2, dhs, l2sq = _scatter_spectrum(eng, spec, cfg.dt, row_weight)
@@ -772,9 +766,11 @@ def run(cfg, u0):
         snap = bool(cfg.snapshot_every) and (
             step % cfg.snapshot_every == 0 or step == n_steps
         )
-        if not (emit or snap):
+        if not (emit or snap or observe is not None):
             continue
         u = PhaseField(g, angular, _to_values(g, spec * half), time)
+        if observe is not None:
+            observe(u, dl2, dhs, functionals)
         if emit:
             l2_emit = u.l2()
             hs_total += win_hs
@@ -792,6 +788,8 @@ def run(cfg, u0):
             win_hs = 0.0
         if snap:
             snapshots.append(u)
+        # let the field go before the next step's scatter takes its temporaries
+        del u
     return snapshots, records
 
 
@@ -848,6 +846,8 @@ def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
     elif kind == "harmonic-perturbation":
         if not (0.0 <= contrast <= 1.0):
             raise ParameterOutOfRange(f"need 0 <= contrast <= 1, got {contrast}")
+        if degree < 0:
+            raise ParameterOutOfRange(f"need degree >= 0, got {degree}")
         if spatial.d == 2:
             phi = np.arctan2(nodes[:, 1], nodes[:, 0])
             harm = np.cos(degree * phi)

@@ -127,19 +127,38 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "old, new",
+        "edits",
         [
-            ("remainder = none", "remainder = const:abc"),
-            ("sigma = 1.0", "sigma = 1.0\ncenter = 1.0"),
-            ("b1 = 1.0", "b1 = nan"),
-            ("b1 = 1.0", "b1 = inf"),
-            ("X = 8.0", "X = nan"),
-            ("dt = 0.02", "dt = nan"),
+            {"remainder = none": "remainder = const:abc"},
+            {"sigma = 1.0": "sigma = 1.0\ncenter = 1.0"},
+            {"b1 = 1.0": "b1 = nan"},
+            {"b1 = 1.0": "b1 = inf"},
+            {"X = 8.0": "X = nan"},
+            {"dt = 0.02": "dt = nan"},
+            {"kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = -1"},
+            {
+                "dimension = 2": "dimension = 3",
+                "m = 32": "m = 8",
+                "angles = 64": "angles = 6",
+                "kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = -1",
+            },
         ],
-        ids=["remainder-abc", "center-short", "b1-nan", "b1-inf", "X-nan", "dt-nan"],
+        ids=[
+            "remainder-abc",
+            "center-short",
+            "b1-nan",
+            "b1-inf",
+            "X-nan",
+            "dt-nan",
+            "degree-negative-d2",
+            "degree-negative-d3",
+        ],
     )
-    def test_bad_value_is_a_config_error(self, tmp_path, capsys, old, new):
-        cfg = write_ini(tmp_path, BEAM_SOLVE.replace(old, new))
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, edits):
+        text = BEAM_SOLVE
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        cfg = write_ini(tmp_path, text)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err

@@ -1,5 +1,7 @@
 """Verification studies: report plumbing, rate fits, and the five studies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,14 +23,19 @@ from prte.experiments import (
     read_report,
     regularity_exponent,
     rho,
-    rho_regularity,
     rho_regularity_study,
     write_report,
 )
 from prte.fracop import PlaneField, PlaneGrid
 from prte.kernels import HGSpec, KernelSpec
 from prte.scatter import sphere_quadrature
-from prte.solver import PhaseField, SolverConfig, SpatialGrid, make_initial
+from prte.solver import (
+    PhaseField,
+    SolverConfig,
+    SpatialGrid,
+    _SpectralEngine,
+    make_initial,
+)
 
 SPEC2 = KernelSpec(d=2, s=0.25, b1=1.0)
 
@@ -166,16 +173,13 @@ class TestRhoAndRegularity:
             regularity_exponent(3, 0.5, delta=0.0)
 
     def test_uniform_density_has_zero_seminorm(self, grid2, ang2):
+        """A spatially uniform isotropic field stays uniform under the march."""
         vals = np.full(grid2.shape + (len(ang2.weights),), 0.7)
-        snaps = [
-            PhaseField(grid2, ang2, vals, 0.0),
-            PhaseField(grid2, ang2, vals, 1.0),
-        ]
-        assert rho_regularity(snaps, 0.25) == pytest.approx(0.0, abs=1e-14)
-
-    def test_needs_two_snapshots(self, grid2, ang2, beam2):
-        with pytest.raises(ParameterOutOfRange):
-            rho_regularity([beam2], 0.25)
+        cfg = SolverConfig(kernel=SPEC2, dt=0.05, t_end=0.5, lmax=32)
+        rep = rho_regularity_study(cfg, PhaseField(grid2, ang2, vals, 0.0))
+        assert len(rep.ladder) >= 3
+        assert rep.values == pytest.approx([0.0] * len(rep.values), abs=1e-14)
+        assert rep.checks[0].value == pytest.approx(0.0, abs=1e-14)
 
     def test_study_on_beam_run(self, beam2):
         cfg = SolverConfig(kernel=SPEC2, dt=0.02, t_end=0.5, lmax=32)
@@ -278,6 +282,21 @@ class TestLevelSet:
         match = [c for c in rep.checks if c.label == "matches_marcher_at_lambda_zero"]
         assert match, "missing the marcher cross-check"
         assert match[0].value <= 1e-12, f"deviation {match[0].value:.3e}"
+
+    def test_scatters_once_per_step(self, beam2, monkeypatch):
+        """The check observes one run instead of marching a second time."""
+        calls = []
+        scatter_l2 = _SpectralEngine.scatter_l2
+
+        def spy(self, *args):
+            calls.append(args[1])
+            return scatter_l2(self, *args)
+
+        monkeypatch.setattr(_SpectralEngine, "scatter_l2", spy)
+        cfg = replace(self.cfg(), t_end=0.1, diagnostics_every=2)
+        rep = level_set_energy_check(cfg, beam2, [0.0, 0.3, 0.6])
+        assert rep.passed
+        assert calls == [cfg.dt] * 5
 
     def test_level_above_max_gives_zero_residual(self, beam2):
         m0 = float(np.max(beam2.values))

@@ -8,8 +8,9 @@ exp(-i theta.k dt/2) built on the spot, and keeps the real part of the
 ifftn; scattering acts on physical values with the cell volume as its
 weight.  Both march random nonnegative data, which has energy in every bin,
 the Nyquist planes and the doubly-Nyquist bins included, and they must agree
-step by step to 1e-13 relative on all three engines: fields, and every
-diagnostics column.
+step by step to 1e-13 relative on all three engines: fields, every
+diagnostics column, and the fields and step integrals `run` hands its
+observer.
 """
 
 from dataclasses import replace
@@ -54,9 +55,8 @@ def oracle_transport(u, dt):
     return PhaseField(u.spatial, u.angular, out, u.time + dt)
 
 
-def oracle_step(u, dt, cfg):
+def oracle_step(u, dt, eng):
     """transport(dt/2), scattering(dt), transport(dt/2) on physical values."""
-    eng = _engine_for(cfg, u)
     half = oracle_transport(u, 0.5 * dt)
     mid, dl2, dhs = eng.scatter(half.values, dt, u.spatial.cell_volume())
     out = oracle_transport(PhaseField(u.spatial, u.angular, mid, half.time), 0.5 * dt)
@@ -64,20 +64,23 @@ def oracle_step(u, dt, cfg):
 
 
 def oracle_march(cfg, u0, n_steps):
-    """Fields and (time, mass, l2, linf, hs_integral, residual) at every step."""
+    """Fields, (time, mass, l2, linf, hs_integral, residual) and each step's
+    (int ||u||^2 dtau, int ||u||^2_Hs dtau), the initial state included."""
     eng = _engine_for(cfg, u0)
     u = u0.copy()
     fields = [u.values]
     rows = [(u.time, u.mass(), u.l2(), u.linf(), 0.0, 0.0)]
+    integrals = [(0.0, 0.0)]
     hs_total = 0.0
     for _ in range(n_steps):
         l2_prev = u.l2()
-        u, dl2, dhs = oracle_step(u, cfg.dt, cfg)
+        u, dl2, dhs = oracle_step(u, cfg.dt, eng)
         hs_total += dhs
         residual = 0.5 * l2_prev**2 + eng.D1 * dl2 - 0.5 * u.l2() ** 2 - eng.D0 * dhs
         fields.append(u.values)
         rows.append((u.time, u.mass(), u.l2(), u.linf(), hs_total, residual))
-    return fields, np.array(rows)
+        integrals.append((dl2, dhs))
+    return fields, np.array(rows), np.array(integrals)
 
 
 def _case(name):
@@ -110,9 +113,19 @@ def rel_dev(got, want):
 def test_run_matches_physical_oracle_every_step(name):
     cfg, n_steps, grid, angular = _case(name)
     u0 = random_field(grid, angular, seed=21)
-    fields, rows = oracle_march(cfg, u0, n_steps)
-    snaps, recs = run(replace(cfg, diagnostics_every=1, snapshot_every=1), u0)
-    assert len(snaps) == len(recs) == n_steps + 1
+    fields, rows, integrals = oracle_march(cfg, u0, n_steps)
+    seen = []
+
+    def observe(u, dl2, dhs, functionals):
+        seen.append((u.values.copy(), dl2, dhs))
+
+    snaps, recs = run(replace(cfg, diagnostics_every=1, snapshot_every=1), u0, observe)
+    assert len(snaps) == len(recs) == len(seen) == n_steps + 1
+    for step, (values, dl2, dhs) in enumerate(seen):
+        dev = rel_dev(values, fields[step])
+        assert dev <= REL_TOL, f"step {step}: observed field off by {dev:.2e}"
+        for got, want in zip((dl2, dhs), integrals[step]):
+            assert abs(got - want) <= REL_TOL * abs(want), f"step {step}: {got!r} != {want!r}"
     for step, (snap, rec) in enumerate(zip(snaps, recs)):
         dev = rel_dev(snap.values, fields[step])
         assert dev <= REL_TOL, f"step {step}: field off by {dev:.2e}"
@@ -128,7 +141,7 @@ def test_sparse_emits_match_oracle(name):
     """Between emits the march only multiplies by the fused table H*H."""
     cfg, n_steps, grid, angular = _case(name)
     u0 = random_field(grid, angular, seed=5)
-    fields, rows = oracle_march(cfg, u0, n_steps)
+    fields, rows, _ = oracle_march(cfg, u0, n_steps)
     every = 2 if n_steps % 2 else 3
     snaps, recs = run(replace(cfg, diagnostics_every=every, snapshot_every=every), u0)
     steps = sorted({*range(0, n_steps + 1, every), n_steps})
@@ -156,7 +169,7 @@ def test_strang_step_energy_matches_oracle(name):
     cfg, _, grid, angular = _case(name)
     u = random_field(grid, angular, seed=8)
     got, dl2, dhs = strang_step_energy(u, cfg.dt, cfg)
-    want, wl2, whs = oracle_step(u, cfg.dt, cfg)
+    want, wl2, whs = oracle_step(u, cfg.dt, _engine_for(cfg, u))
     assert rel_dev(got.values, want.values) <= REL_TOL
     assert got.time == want.time
     assert dl2 == pytest.approx(wl2, rel=REL_TOL)

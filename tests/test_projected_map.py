@@ -89,7 +89,7 @@ def test_plane_over_limit_takes_rk4_route(name):
 
 
 @pytest.mark.parametrize("name, m", [("d2", 8), ("d3", 16)])
-def test_physical_scattering_step_takes_map_route(name, m):
+def test_physical_scattering_step_takes_map_route(name, m, monkeypatch):
     """A physical-space (m, ..., m, n_nodes) field steps by the map through
     its flattened rows and matches the RK4 code row by row."""
     spec, plane = CASES[name]
@@ -101,11 +101,19 @@ def test_physical_scattering_step_takes_map_route(name, m):
     cfg = SolverConfig(
         kernel=spec, dt=1e-3, t_end=1e-3, lmax=8, backend="projected-plane"
     )
-    # the engine scattering_step looks up: its key does not depend on dt
+    # an engine like the one scattering_step builds for itself
     eng = _engine_for(cfg, u)
     dt = 0.5 * eng.stability_bound()
+    asked = []
+    substep_map = _ProjectedEngine.substep_map
+
+    def spy(self, step_dt):
+        asked.append(step_dt)
+        return substep_map(self, step_dt)
+
+    monkeypatch.setattr(_ProjectedEngine, "substep_map", spy)
     got = scattering_step(u, dt, replace(cfg, dt=dt, t_end=dt)).values
-    assert dt in eng._maps
+    assert asked == [dt], "a plane under MAP_MAX_NODES steps by its map"
     flat = u.values.reshape(-1, n)
     # the RK4 oracle in blocks of rows, to keep its temporaries small
     want = np.concatenate(
