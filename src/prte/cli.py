@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     InvariantViolation,
     NumericalError,
+    ParameterOutOfRange,
     ThresholdError,
     UnknownKind,
 )
@@ -187,6 +188,9 @@ def _probe_from(cp, d):
     )
     width = _get(cp, "study", "probe_width", float, 0.4)
     cut = _get(cp, "study", "probe_cut", float, 3.0)
+    for name, value in (("probe_width", width), ("probe_cut", cut)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ParameterOutOfRange(f"need finite {name} > 0, got {value}")
     pts = grid.points()
     r2 = np.sum(pts * pts, axis=-1).reshape(grid.shape)
     vals = np.where(r2 < cut * cut, np.exp(-r2 / (2.0 * width**2)), 0.0)

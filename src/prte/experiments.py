@@ -338,9 +338,12 @@ def operator_rate_study(psi, s, g_ladder, threads=1):
     d = grid.d
     if not 0.0 < s < 1.0:
         raise ParameterOutOfRange(f"need 0 < s < 1, got {s}")
+    peak = float(np.max(np.abs(psi.values)))
+    if peak == 0.0:
+        raise ParameterOutOfRange("psi must not vanish everywhere")
     inner = grid.interior_mask(0.5)
     # effective support: relative floor keeps analytically-nonvanishing probes usable
-    support = np.abs(psi.values) > 1e-12 * float(np.max(np.abs(psi.values)))
+    support = np.abs(psi.values) > 1e-12 * peak
     if np.any(support & ~inner):
         raise ParameterOutOfRange("psi must be supported inside the interior half")
     ref = kappa_limit(d, s) * frac_lap_spectral(grid, psi.values, s)
@@ -433,6 +436,8 @@ def level_set_energy_check(cfg, u0, lambdas):
     lambdas = tuple(float(l) for l in lambdas)
     if len(lambdas) < 3:
         raise ParameterOutOfRange(f"lambda ladder needs >= 3 points, got {len(lambdas)}")
+    if not np.all(np.isfinite(lambdas)):
+        raise ParameterOutOfRange(f"lambda ladder must be finite, got {lambdas}")
     if any(l < 0.0 for l in lambdas):
         raise ParameterOutOfRange("lambda ladder must be nonnegative")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
@@ -539,6 +544,12 @@ def decay_study(cfg, u0, n_ladder=12, transient_fraction=0.2):
     it nonincreasing there, and fit the algebraic decay exponent over the
     latter half of the window (one-sided gate a >= 0.4).
     """
+    if n_ladder < 5:
+        raise ParameterOutOfRange(f"need n_ladder >= 5 for the fit, got {n_ladder}")
+    if not 0.0 <= transient_fraction < 1.0:
+        raise ParameterOutOfRange(
+            f"need 0 <= transient_fraction < 1, got {transient_fraction}"
+        )
     if u0.spatial.X < 2.0 * (1.0 + cfg.t_end):
         raise ParameterOutOfRange(
             f"box {u0.spatial.X} too small for t_end {cfg.t_end}: "

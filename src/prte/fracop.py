@@ -165,6 +165,19 @@ def lattice_k2(k, ndim):
     return k2
 
 
+def half_multiplicity(n):
+    """
+    How many bins of a length-n spectrum each rfft bin stands for.  The
+    stored half holds one bin of each conjugate pair, except bin 0 and, for
+    even n, the Nyquist bin n/2, which are their own partners and count once.
+    """
+    mult = np.full(n // 2 + 1, 2.0)
+    mult[0] = 1.0
+    if n % 2 == 0:
+        mult[-1] = 1.0
+    return mult
+
+
 def frac_lap_spectral(grid, f, s):
     """
     (-Lap)^s f through the Fourier multiplier |xi|^{2s} on the periodized lattice.

@@ -140,6 +140,8 @@ class KernelSpec:
         integrable remainder; derived constants then require b1 > 0).
     h : callable or None
         Integrable remainder, pointwise >= 0 on [-1, 1].  None means h == 0.
+        Called with arrays of z (and with floats by the h_l1 quadrature); it
+        returns values of z's shape, or one scalar for a constant remainder.
     h_l1 : float
         Total remainder mass over the sphere (computed, do not pass).
     """
@@ -155,9 +157,7 @@ class KernelSpec:
         if not (np.isfinite(self.b1) and self.b1 >= 0.0):
             raise ParameterOutOfRange(f"need finite b1 >= 0, got {self.b1}")
         if self.h is not None:
-            zs = np.linspace(-1.0, 1.0, 257)
-            hv = np.asarray([self.h(z) for z in zs], dtype=float)
-            if np.any(hv < 0.0):
+            if np.any(self.remainder(np.linspace(-1.0, 1.0, 257)) < 0.0):
                 raise ParameterOutOfRange("remainder h must be nonnegative on [-1, 1]")
         object.__setattr__(self, "h_l1", _remainder_mass(self.d, self.h))
 
@@ -172,11 +172,12 @@ class KernelSpec:
         return (self.d - 1) / 2.0 + self.s
 
     def remainder(self, z):
-        """h(z) evaluated elementwise (zero when no remainder is attached)."""
+        """h(z) in one call on the array, broadcast to z's shape (zero if h is None)."""
         z = np.asarray(z, dtype=float)
-        if self.h is None:
-            return np.zeros_like(z)
-        return np.vectorize(self.h, otypes=[float])(z)
+        out = np.zeros_like(z)
+        if self.h is not None:
+            out[...] = self.h(z)
+        return out
 
 
 @dataclass(frozen=True)
@@ -273,5 +274,4 @@ def parse_remainder(text):
             )
         c = coeffs[0]
         return lambda z, c=c: c
-    poly = np.polynomial.Polynomial(coeffs)
-    return lambda z, poly=poly: float(poly(z))
+    return np.polynomial.Polynomial(coeffs)

@@ -10,17 +10,18 @@ modes (d = 2) or spherical harmonics (d = 3).  The module provides
     difference form (G_l(t) - 1) b(t) against the sphere measure;
 ``apply_scatter_spectral`` / ``analyze`` / ``synthesize``
     application in the diagonal basis;
-``apply_scatter_projected``
+``PlaneOperator`` / ``apply_scatter_projected``
     the stereographic route: the singular part of I becomes a weighted plane
     fractional Laplacian, discretized so that constants are annihilated and
     mass is conserved exactly (the same spectral operator appears in both
-    terms and is self-adjoint on the lattice);
+    terms and is self-adjoint on the lattice); the projected-plane marcher
+    steps and accounts with the same batched ``PlaneOperator``;
 ``weak_pairing`` / ``apply_scatter_weak``
     the cutoff weak form -1/2 iint (u'-u)(psi'-psi) b, Richardson-extrapolated
     in the cutoff;
 ``hs_norm``
     the sphere double-integral seminorm together with its projected-plane
-    counterpart ||(-Lap)^{s/2} w_J||^2.
+    counterpart ||(-Lap)^{s/2} w_J||^2 (``PlaneOperator.seminorm_sq``).
 
 The three routes share no discretization machinery, which is what makes their
 agreement on band-limited fields a meaningful oracle.
@@ -38,7 +39,8 @@ from .errors import (
     ParameterOutOfRange,
     QuadratureNonConvergence,
 )
-from .fracop import PlaneField, frac_lap_spectral, weight_profile, _values
+from . import fracop
+from .fracop import PlaneField, _values
 from .geom import check_dimension, sphere_area, unproject
 from .kernels import HGSpec, constants, hg_rescaled, limiting_kernel
 
@@ -337,6 +339,40 @@ def apply_scatter_spectral(spectrum, eigs):
 # projected-plane route
 
 
+class PlaneOperator:
+    """
+    The plane part of the projected route on one lattice, acting on the
+    trailing grid axes of a batch: core(f) = f B w_0 - B (f w_0), B the
+    lattice spectral (-Lap)^s, and seminorm_sq(f) = ||(-Lap)^{s/2} (f w_0)||^2
+    per leading index, by Parseval on the rfftn half-spectrum.
+    """
+
+    def __init__(self, grid, s):
+        self.axes = tuple(range(-grid.ndim, 0))
+        self.w0 = fracop.weight_profile(grid, s)
+        with warnings.catch_warnings():
+            # w_0's tail at the boundary is part of the operator, not a field
+            # that leaks.  The function is looked up on fracop at call time,
+            # so that a wrapper installed on that module sees this call.
+            warnings.simplefilter("ignore")
+            self.bw0 = fracop.frac_lap_spectral(grid, self.w0, s)
+        self.mult = fracop.lattice_k2(grid.freq(), grid.ndim) ** s
+        half = fracop.half_multiplicity(grid.n)
+        self.hs_weight = (
+            grid.cell_volume() / grid.n**grid.ndim * self.mult[..., : half.size] * half
+        ).ravel()
+
+    def core(self, f):
+        spec = np.fft.fftn(f * self.w0, axes=self.axes)
+        return f * self.bw0 - np.fft.ifftn(self.mult * spec, axes=self.axes).real
+
+    def seminorm_sq(self, f):
+        spec = np.fft.rfftn(f * self.w0, axes=self.axes)
+        power = spec.real**2 + spec.imag**2
+        per = power.reshape(-1, self.hs_weight.size) @ self.hs_weight
+        return per.reshape(f.shape[: f.ndim - len(self.axes)])
+
+
 def apply_scatter_projected(u_plane, spec):
     """
     The singular b(1)-part of the scattering operator through stereographic
@@ -352,16 +388,9 @@ def apply_scatter_projected(u_plane, spec):
     """
     grid, uj = u_plane.grid, _values(u_plane)
     s = spec.s
-    cst = constants(spec)
-    w0 = weight_profile(grid, s)
-    with warnings.catch_warnings():
-        # w_0 never vanishes at the boundary; its tail is part of the discrete
-        # operator, not a field being approximated, so only the u-dependent
-        # term may warn.
-        warnings.simplefilter("ignore")
-        bw0 = frac_lap_spectral(grid, w0, s)
-    bw = frac_lap_spectral(grid, uj * w0, s)
-    out = cst.D * grid.bracket() ** (2.0 * s) * (uj * bw0 - bw)
+    op = PlaneOperator(grid, s)
+    fracop._check_leakage(grid, uj * op.w0, "apply_scatter_projected")
+    out = constants(spec).D * grid.bracket() ** (2.0 * s) * op.core(uj)
     return PlaneField(grid, out)
 
 
@@ -477,10 +506,10 @@ def hs_norm(quad, u, spec, grid, lmax=None):
       s_dbl = iint (u(theta') - u(theta))^2 / |theta' - theta|^{d-1+2s}
       p_semi = ||(-Lap)^{s/2} w_J||^2_{L2(plane)},  w_J = u_J <v>^{-(d-1-2s)}
 
-    computed by entirely separate routes (double node sum vs plane FFT after
-    band-limited synthesis onto the lattice).  The plane route needs u to
-    vanish at the projection pole for its tail to fit the box; otherwise the
-    result inherits a BoundaryLeakage-scale truncation error.
+    computed by entirely separate routes (double node sum vs the marcher's
+    PlaneOperator.seminorm_sq after band-limited synthesis onto the lattice).
+    The plane route needs u to vanish at the projection pole for its tail to
+    fit the box; otherwise the result inherits a BoundaryLeakage-scale error.
 
     ``lmax`` is the synthesis band limit for the plane route.  It defaults to
     the full alias cap in d = 2 but is clamped to 16 in d = 3, where the
@@ -502,10 +531,9 @@ def hs_norm(quad, u, spec, grid, lmax=None):
         lmax = quad.lmax_cap() if quad.d == 2 else min(quad.lmax_cap(), 16)
     spectrum = analyze(quad, u, lmax)
     uj = synthesize(spectrum, plane_directions(grid))
-    w = uj * weight_profile(grid, s)
-    y = frac_lap_spectral(grid, w, s / 2.0)
-    p_semi = float(grid.cell_volume() * np.sum(y**2))
-    return s_dbl, p_semi
+    op = PlaneOperator(grid, s)
+    fracop._check_leakage(grid, uj * op.w0, "hs_norm")
+    return s_dbl, float(op.seminorm_sq(uj))
 
 
 def sobolev_constant(n, s):

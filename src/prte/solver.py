@@ -18,8 +18,9 @@ two backends:
     n_nodes**2 doubles and costs 2 n_nodes flops a value, against a few plane
     FFTs for RK4, so the map serves planes of at most MAP_MAX_NODES = 4096
     nodes (a d = 3 64^2 plane, 128 MiB), the largest measured; a larger
-    plane is stepped by the RK4 code itself.  The H^s accounting is a plane
-    Parseval sum on the rfftn half-spectrum.
+    plane is stepped by the RK4 code itself.  The plane operator and H^s
+    seminorm are those of `apply_scatter_projected` and `hs_norm`, one
+    `scatter.PlaneOperator`.
 
 Both backends are real-linear and the same at every x, so the whole step
 commutes with the spatial Fourier transform, and `run` marches in Fourier
@@ -50,7 +51,6 @@ roundoff for a pure power-law kernel.
 """
 
 import struct
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -62,9 +62,10 @@ from .errors import (
     StabilityViolation,
     UnknownKind,
 )
-from .fracop import PlaneGrid, lattice_k2, weight_profile
+from .fracop import PlaneGrid, half_multiplicity
 from .kernels import HGSpec, KernelSpec, conformal_eigenvalue, constants
 from .scatter import (
+    PlaneOperator,
     SphereQuadrature,
     basis_at_directions,
     funk_hecke_eigs,
@@ -282,23 +283,10 @@ def _dot_theta(out, per_axis, theta):
         out += per_axis[: out.shape[a]].reshape(shape) * theta[:, a]
 
 
-def _half_multiplicity(n):
-    """
-    How many bins of a length-n spectrum each rfft bin stands for.  The
-    stored half holds one bin of each conjugate pair, except bin 0 and, for
-    even n, the Nyquist bin n/2, which are their own partners and count once.
-    """
-    mult = np.full(n // 2 + 1, 2.0)
-    mult[0] = 1.0
-    if n % 2 == 0:
-        mult[-1] = 1.0
-    return mult
-
-
 def _parseval_weights(spatial):
     """One weight per rfftn bin: sum_k w_k |U_k|^2 = cell_volume sum_x |u_x|^2."""
     g = spatial
-    mult = _half_multiplicity(g.m)
+    mult = half_multiplicity(g.m)
     w = np.broadcast_to(g.cell_volume() / g.m**g.d * mult, g.shape[:-1] + mult.shape)
     # the real and the imaginary batch rows carry the same weights
     return np.tile(w.ravel(), 2)
@@ -392,19 +380,7 @@ def _decay_integral(lam, dt):
     return out
 
 
-class _Engine:
-    """
-    A scattering backend.  `scatter_l2(values, dt, row_weight)` returns the
-    new values, the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and
-    ||u||^2 after it.
-    """
-
-    def scatter(self, values, dt, row_weight):
-        """Returns (new values, int ||u||^2 dtau, int ||u||^2_{Hs} dtau)."""
-        return self.scatter_l2(values, dt, row_weight)[:3]
-
-
-class _SpectralEngine(_Engine):
+class _SpectralEngine:
     """Exact exponential integrator in the angular eigenbasis."""
 
     def __init__(self, kernel, angular, lmax):
@@ -445,7 +421,7 @@ class _SpectralEngine(_Engine):
             m = values.shape[-1]
             # Parseval mode masses over the angular rfft bins
             power = _row_sum(row_weight, np.abs(spec) ** 2)
-            return (2.0 * np.pi / m**2) * _half_multiplicity(m) * power, 0.0
+            return (2.0 * np.pi / m**2) * half_multiplicity(m) * power, 0.0
         per_mode = _row_sum(row_weight, spec**2)
         resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
         total = _norm_sq(values, self.angular.weights, row_weight)
@@ -475,7 +451,7 @@ class _SpectralEngine(_Engine):
         return out, l2_int, hs_int, _norm_sq(out, self.angular.weights, row_weight)
 
 
-class _ProjectedEngine(_Engine):
+class _ProjectedEngine:
     """
     RK4 on the stereographic plane form with de-aliasing and mass repair.
     The substep is linear and the same for every row, so on planes of at
@@ -509,17 +485,7 @@ class _ProjectedEngine(_Engine):
         self.pshape = grid.shape
         self.paxes = tuple(range(-grid.ndim, 0))
         s = kernel.s
-        self.mult_s = lattice_k2(grid.freq(), grid.ndim) ** s
-        # plane Parseval on the rfftn half-spectrum of the last plane axis
-        mult = _half_multiplicity(grid.n)
-        half = self.mult_s[..., : mult.size]
-        self.hs_weight = grid.cell_volume() / grid.n**grid.ndim * half * mult
-        self.w0 = weight_profile(grid, s)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            from .fracop import frac_lap_spectral
-
-            self.bw0 = frac_lap_spectral(grid, self.w0, s)
+        self.plane = PlaneOperator(grid, s)
         cst = constants(kernel)
         # node values evolve with the unweighted rate: the plane form yields
         # [I(u)]_J <v>^{-(d-1)}, so undo the weight here (stiff in the halo,
@@ -545,16 +511,10 @@ class _ProjectedEngine(_Engine):
         self._bound = None
         self._maps = {}
 
-    def _bop(self, f):
-        """Batched spectral (-Lap)^s over the trailing plane axes."""
-        spec = np.fft.fftn(f, axes=self.paxes)
-        return np.fft.ifftn(self.mult_s * spec, axes=self.paxes).real
-
     def apply(self, flat):
         """Operator on (..., n_nodes) value arrays."""
         f = flat.reshape(flat.shape[:-1] + self.pshape)
-        out = self.front * (f * self.bw0 - self._bop(f * self.w0))
-        out = out.reshape(flat.shape)
+        out = (self.front * self.plane.core(f)).reshape(flat.shape)
         if self.hmat is not None:
             out = out + flat @ self.hmat.T - self.hrow * flat
         return out
@@ -631,13 +591,9 @@ class _ProjectedEngine(_Engine):
         return out, l2_int, hs_int, post_l2
 
     def _hs_total(self, values, row_weight):
-        """int ||(-Lap)^{s/2} (u w0)||^2 over space, via plane Parseval on the
-        rfftn half-spectrum (see `hs_weight` in __init__)."""
-        f = values.reshape(values.shape[:-1] + self.pshape) * self.w0
-        spec = np.fft.rfftn(f, axes=self.paxes)
-        power = spec.real**2 + spec.imag**2
-        per_x = power.reshape(-1, self.hs_weight.size) @ self.hs_weight.ravel()
-        return float(_row_sum(row_weight, per_x[:, None])[0])
+        """int ||(-Lap)^{s/2} (u w0)||^2 over space: row-weighted seminorms."""
+        per_x = self.plane.seminorm_sq(values.reshape(values.shape[:-1] + self.pshape))
+        return float(_row_sum(row_weight, per_x.reshape(-1, 1))[0])
 
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
@@ -646,7 +602,9 @@ class _ProjectedEngine(_Engine):
 
 
 def _engine_for(cfg, u):
-    """A new scattering engine for cfg on u's angular grid."""
+    """A new scattering engine for cfg on u's angular grid.  Its
+    `scatter_l2(values, dt, row_weight)` returns the new values, the substep's
+    int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and ||u||^2 after it."""
     cls = _SpectralEngine if cfg.backend == "sphere-spectral" else _ProjectedEngine
     return cls(cfg.kernel, u.angular, cfg.lmax)
 
@@ -654,7 +612,7 @@ def _engine_for(cfg, u):
 def scattering_step(u, dt, cfg):
     """Angular relaxation over dt; spatial nodes never couple."""
     eng = _engine_for(cfg, u)
-    out, _, _ = eng.scatter(u.values, dt, u.spatial.cell_volume())
+    out = eng.scatter_l2(u.values, dt, u.spatial.cell_volume())[0]
     return PhaseField(u.spatial, u.angular, out, u.time)
 
 

@@ -74,6 +74,34 @@ name = hg-convergence
 ladder = 0.8,0.9,0.95
 """
 
+LEVEL_SET_STUDY = HG_STUDY.replace(
+    "name = hg-convergence\nladder = 0.8,0.9,0.95",
+    "name = level-set\nladder = 0.0,0.25,0.5",
+).replace("t_end = 1.0", "t_end = 0.5")
+
+DECAY_STUDY = HG_STUDY.replace(
+    "name = hg-convergence\nladder = 0.8,0.9,0.95", "name = decay"
+).replace("kind = gaussian-beam", "kind = isotropic-blob").replace(
+    "sigma = 1.0", "sigma = 0.5"
+).replace("dt = 0.02\nt_end = 1.0", "dt = 0.025\nt_end = 2.5")
+
+OPERATOR_RATE_STUDY = """
+[run]
+dimension = 2
+
+[kernel]
+s = 0.25
+b1 = 1.0
+
+[grids]
+L = 16.0
+n = 512
+
+[study]
+name = operator-rate
+ladder = 0.9,0.95,0.975,0.99
+"""
+
 
 def write_ini(tmp_path, text, name="run.ini"):
     p = tmp_path / name
@@ -127,21 +155,58 @@ class TestConfigValidation:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "edits",
+        "command, base, edits",
         [
-            {"remainder = none": "remainder = const:abc"},
-            {"sigma = 1.0": "sigma = 1.0\ncenter = 1.0"},
-            {"b1 = 1.0": "b1 = nan"},
-            {"b1 = 1.0": "b1 = inf"},
-            {"X = 8.0": "X = nan"},
-            {"dt = 0.02": "dt = nan"},
-            {"kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = -1"},
-            {
-                "dimension = 2": "dimension = 3",
-                "m = 32": "m = 8",
-                "angles = 64": "angles = 6",
-                "kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = -1",
-            },
+            ("solve", BEAM_SOLVE, {"remainder = none": "remainder = const:abc"}),
+            ("solve", BEAM_SOLVE, {"sigma = 1.0": "sigma = 1.0\ncenter = 1.0"}),
+            ("solve", BEAM_SOLVE, {"b1 = 1.0": "b1 = nan"}),
+            ("solve", BEAM_SOLVE, {"b1 = 1.0": "b1 = inf"}),
+            ("solve", BEAM_SOLVE, {"X = 8.0": "X = nan"}),
+            ("solve", BEAM_SOLVE, {"dt = 0.02": "dt = nan"}),
+            (
+                "solve",
+                BEAM_SOLVE,
+                {"kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = -1"},
+            ),
+            (
+                "solve",
+                BEAM_SOLVE,
+                {
+                    "dimension = 2": "dimension = 3",
+                    "m = 32": "m = 8",
+                    "angles = 64": "angles = 6",
+                    "kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = -1",
+                },
+            ),
+            ("study", LEVEL_SET_STUDY, {"ladder = 0.0,0.25,0.5": "ladder = 0,nan,0.5"}),
+            ("study", LEVEL_SET_STUDY, {"ladder = 0.0,0.25,0.5": "ladder = 0,0.25,inf"}),
+            ("study", DECAY_STUDY, {"name = decay": "name = decay\nn_ladder = -3"}),
+            ("study", DECAY_STUDY, {"name = decay": "name = decay\nn_ladder = 4"}),
+            (
+                "study",
+                DECAY_STUDY,
+                {"name = decay": "name = decay\ntransient_fraction = nan"},
+            ),
+            (
+                "study",
+                DECAY_STUDY,
+                {"name = decay": "name = decay\ntransient_fraction = 1.0"},
+            ),
+            (
+                "study",
+                OPERATOR_RATE_STUDY,
+                {"name = operator-rate": "name = operator-rate\nprobe_cut = 0"},
+            ),
+            (
+                "study",
+                OPERATOR_RATE_STUDY,
+                {"name = operator-rate": "name = operator-rate\nprobe_width = -1"},
+            ),
+            (
+                "study",
+                OPERATOR_RATE_STUDY,
+                {"name = operator-rate": "name = operator-rate\nprobe_width = nan"},
+            ),
         ],
         ids=[
             "remainder-abc",
@@ -152,14 +217,24 @@ class TestConfigValidation:
             "dt-nan",
             "degree-negative-d2",
             "degree-negative-d3",
+            "level-set-lambda-nan",
+            "level-set-lambda-inf",
+            "decay-n-ladder-negative",
+            "decay-n-ladder-4",
+            "decay-transient-nan",
+            "decay-transient-one",
+            "operator-rate-cut-zero",
+            "operator-rate-width-negative",
+            "operator-rate-width-nan",
         ],
     )
-    def test_bad_value_is_a_config_error(self, tmp_path, capsys, edits):
-        text = BEAM_SOLVE
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, command, base, edits):
+        text = base
         for old, new in edits.items():
+            assert old in text, old
             text = text.replace(old, new)
         cfg = write_ini(tmp_path, text)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
 
@@ -268,23 +343,7 @@ class TestStudyDispatch:
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == EXIT_STUDY
 
     def test_operator_rate(self, tmp_path):
-        text = """
-[run]
-dimension = 2
-
-[kernel]
-s = 0.25
-b1 = 1.0
-
-[grids]
-L = 16.0
-n = 512
-
-[study]
-name = operator-rate
-ladder = 0.9,0.95,0.975,0.99
-"""
-        cfg = write_ini(tmp_path, text)
+        cfg = write_ini(tmp_path, OPERATOR_RATE_STUDY)
         out = tmp_path / "out"
         assert main(["study", "--config", cfg, "--out", str(out)]) == EXIT_OK
         rep = read_report(str(out / "operator-rate.report.csv"))
@@ -292,11 +351,7 @@ ladder = 0.9,0.95,0.975,0.99
         assert any(f.label == "far_field_decay_slope" for f in rep.fits)
 
     def test_decay_and_short_window(self, tmp_path):
-        text = HG_STUDY.replace(
-            "name = hg-convergence\nladder = 0.8,0.9,0.95", "name = decay"
-        ).replace("kind = gaussian-beam", "kind = isotropic-blob").replace(
-            "sigma = 1.0", "sigma = 0.5"
-        ).replace("dt = 0.02\nt_end = 1.0", "dt = 0.025\nt_end = 2.5")
+        text = DECAY_STUDY
         cfg = write_ini(tmp_path, text)
         out = tmp_path / "out"
         assert main(["study", "--config", cfg, "--out", str(out)]) == EXIT_OK
@@ -309,11 +364,7 @@ ladder = 0.9,0.95,0.975,0.99
         assert main(["study", "--config", short, "--out", str(out)]) == EXIT_STUDY
 
     def test_level_set_fractions(self, tmp_path):
-        text = HG_STUDY.replace(
-            "name = hg-convergence\nladder = 0.8,0.9,0.95",
-            "name = level-set\nladder = 0.0,0.25,0.5",
-        ).replace("t_end = 1.0", "t_end = 0.5")
-        cfg = write_ini(tmp_path, text)
+        cfg = write_ini(tmp_path, LEVEL_SET_STUDY)
         out = tmp_path / "out"
         assert main(["study", "--config", cfg, "--out", str(out)]) == EXIT_OK
         rep = read_report(str(out / "level-set.report.csv"))

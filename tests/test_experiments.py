@@ -261,6 +261,13 @@ class TestOperatorRate:
         with pytest.raises(ParameterOutOfRange):
             operator_rate_study(cut_gaussian(grid), 1.5, [0.5, 0.7, 0.85])
 
+    def test_rejects_all_zero_probe(self):
+        grid = PlaneGrid(d=2, L=16.0, n=256)
+        with pytest.raises(ParameterOutOfRange):
+            operator_rate_study(
+                PlaneField(grid, np.zeros(grid.shape)), 0.25, [0.5, 0.7, 0.85]
+            )
+
 
 class TestLevelSet:
     """Truncated-energy inequality along a run."""

@@ -8,7 +8,9 @@ MAP_MAX_NODES nodes, and through the RK4 code itself on larger planes.
 Both routes must agree to 1e-13 relative on random fields, on a d = 2 plane
 and on a d = 3 32^2 plane; M must conserve the angular mass; and the
 half-spectrum H^s sum must equal the complex-fftn form it replaced, which
-is kept here as the oracle.
+is kept here as the oracle.  The engine's operator is the one
+`apply_scatter_projected` (criteria 3 and 4) evaluates, up to the node
+weight <v>^{d-1}, so the two routes cannot fork.
 """
 
 from dataclasses import replace
@@ -16,8 +18,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prte.fracop import PlaneGrid
+from prte.fracop import PlaneField, PlaneGrid
 from prte.kernels import KernelSpec
+from prte.scatter import apply_scatter_projected
 from prte.solver import (
     PhaseField,
     ProjectedAngularGrid,
@@ -49,11 +52,11 @@ def rel_dev(got, want):
 
 def oracle_hs_total(eng, values, row_weight):
     """The full complex-fftn plane Parseval sum the engine used to take."""
-    f = values.reshape(values.shape[:-1] + eng.pshape) * eng.w0
+    f = values.reshape(values.shape[:-1] + eng.pshape) * eng.plane.w0
     spec = np.fft.fftn(f, axes=eng.paxes)
     npl = eng.grid.n**eng.grid.ndim
     per_x = eng.grid.cell_volume() / npl * np.sum(
-        eng.mult_s * np.abs(spec) ** 2, axis=eng.paxes
+        eng.plane.mult * np.abs(spec) ** 2, axis=eng.paxes
     )
     return float(np.sum(np.broadcast_to(row_weight, per_x.shape) * per_x))
 
@@ -66,7 +69,7 @@ def test_map_route_matches_rk4(name):
     rng = np.random.default_rng(1)
     for rows in (3, n + 7):
         values = rng.standard_normal((rows, n))
-        out, _, _ = eng.scatter(values, dt, rng.random(rows))
+        out = eng.scatter_l2(values, dt, rng.random(rows))[0]
         assert dt in eng._maps, "a plane under MAP_MAX_NODES steps by its map"
         assert rel_dev(out, eng._substep(values, dt)) <= REL_TOL
 
@@ -81,9 +84,9 @@ def test_plane_over_limit_takes_rk4_route(name):
     small, _ = engine(name)
     rng = np.random.default_rng(2)
     values = rng.standard_normal((n // 4, n))
-    got, _, _ = big.scatter(values, dt, 1.0)
+    got = big.scatter_l2(values, dt, 1.0)[0]
     assert big._maps == {}, "a plane over the limit must not build the map"
-    want, _, _ = small.scatter(values, dt, 1.0)
+    want = small.scatter_l2(values, dt, 1.0)[0]
     assert dt in small._maps
     assert rel_dev(got, want) <= REL_TOL
 
@@ -140,3 +143,20 @@ def test_hs_total_matches_complex_fftn(name):
         got = eng._hs_total(values, row_weight)
         want = oracle_hs_total(eng, values, row_weight)
         assert got == pytest.approx(want, rel=REL_TOL)
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.filterwarnings("ignore::prte.errors.BoundaryLeakage")
+def test_apply_is_apply_scatter_projected(name):
+    """Each row of the engine's batched operator is the projected form of I
+    times <v>^{d-1}, which the engine's node values carry."""
+    eng, _ = engine(name)
+    spec, plane = CASES[name]
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((4, len(eng.angular.weights)))
+    got = eng.apply(rows)
+    weight = plane.bracket() ** plane.ndim
+    for row, out in zip(rows, got):
+        field = PlaneField(plane, row.reshape(plane.shape))
+        want = apply_scatter_projected(field, spec).values * weight
+        assert rel_dev(out, want.ravel()) <= REL_TOL
