@@ -213,7 +213,7 @@ def rho_regularity_study(cfg, u0, delta=0.5):
     The bound being probed is qualitative; the gates here are finiteness and
     bookkeeping, not a constant.
     """
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.steps()
     every = max(1, n_steps // 8)
     snaps, _ = run(replace(cfg, snapshot_every=every), u0)
     beta = regularity_exponent(u0.spatial.d, cfg.kernel.base.s, delta)
@@ -244,7 +244,7 @@ def rho_regularity_study(cfg, u0, delta=0.5):
 
 
 def _final_state(cfg, u0):
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.steps()
     c = replace(cfg, snapshot_every=n_steps, diagnostics_every=n_steps)
     snaps, _ = run(c, u0)
     return snaps[-1]
@@ -443,7 +443,7 @@ def level_set_energy_check(cfg, u0, lambdas):
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ParameterOutOfRange("lambda ladder must increase strictly")
     D0, D1, _ = _energy_constants(cfg.kernel)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.steps()
     positives = [l for l in lambdas if l > 0.0]
     # lambda = 0: marcher-style accumulation; lambda > 0: trapezoid endpoints
     step = -1
@@ -554,6 +554,14 @@ def decay_study(cfg, u0, n_ladder=12, transient_fraction=0.2):
         raise ParameterOutOfRange(
             f"box {u0.spatial.X} too small for t_end {cfg.t_end}: "
             "need X >= 2 (1 + t_end)"
+        )
+    # the window holds at most one record per step after the first
+    n_steps = cfg.steps()
+    if n_steps < 5:
+        raise WindowTooShort(f"only {n_steps} steps past the transient; need >= 5")
+    if n_ladder > n_steps:
+        raise ParameterOutOfRange(
+            f"n_ladder {n_ladder} exceeds the run's {n_steps} steps"
         )
     _, records = run(replace(cfg, diagnostics_every=1, snapshot_every=0), u0)
     times = np.array([r.time for r in records])

@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .errors import BoundaryLeakage, ParameterOutOfRange
 from .geom import check_dimension
@@ -226,14 +226,14 @@ def _near_cell_moment(n, s, h, near_offsets):
         total = 2.0 * (h / 2.0) ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
     else:
         # int over the central square of |z|^{-2s}: polar with rho_max = h/(2 cos phi)
-        pq, pw = roots_legendre(32)
+        pq, pw = leggauss(32)
         phi = (np.pi / 8.0) * (pq + 1.0)
         total = 8.0 * np.sum(
             (np.pi / 8.0) * pw * (h / (2.0 * np.cos(phi))) ** (2.0 - 2.0 * s)
         ) / (2.0 - 2.0 * s)
     others = near_offsets[np.sum(near_offsets**2, axis=1) > 0]
     if len(others):
-        gq, gw = roots_legendre(8)
+        gq, gw = leggauss(8)
         sub = 0.5 * h * gq
         wsub = 0.5 * h * gw
         if n == 1:
@@ -281,7 +281,7 @@ def _tail_field_integral(grid, f_ext, v, s):
     """
     n = grid.ndim
     lo, hi = _box_edges(grid, v)
-    tq, tw = roots_legendre(48)
+    tq, tw = leggauss(48)
     tau = 0.5 * (tq + 1.0)
     wt = 0.5 * tw
     stretch = tau ** (-1.0 / (2.0 * s))
@@ -292,7 +292,7 @@ def _tail_field_integral(grid, f_ext, v, s):
             vals = f_ext((v[0] + zs)[:, None])
             total += edge ** (-2.0 * s) / (2.0 * s) * np.sum(wt * vals)
         return total
-    pq, pw = roots_legendre(96)
+    pq, pw = leggauss(96)
     phi = np.pi * (pq + 1.0)
     wp = np.pi * pw
     rho_b = _boundary_distance(phi, lo, hi)
@@ -423,7 +423,7 @@ def _hg_center_correction(grid, hg, targets_pts, lap_at_targets):
     n = grid.ndim
     g, alpha = hg.g, hg.base.alpha
     r = _equal_volume_radius(grid)
-    zq, zw = roots_legendre(32)
+    zq, zw = leggauss(32)
     rho = 0.5 * r * (zq + 1.0)
     w = 0.5 * r * zw
     br2 = 1.0 + np.sum(targets_pts * targets_pts, axis=-1)

@@ -28,11 +28,11 @@ inequality: d/dt (1/2)||u||^2 + D0 ||u||^2_{H^s} <= D1 ||u||^2 with equality
 when h == 0.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as Gamma
 
 from .errors import ParameterOutOfRange, SingularArgument
 from .geom import check_dimension
@@ -65,7 +65,10 @@ def frac_constant(n, s):
         raise ParameterOutOfRange(f"need n >= 1, got {n}")
     if not (0.0 < s < 1.0):
         raise ParameterOutOfRange(f"need 0 < s < 1, got s = {s}")
-    return 4.0**s * Gamma(n / 2.0 + s) * s / (np.pi ** (n / 2.0) * Gamma(1.0 - s))
+    return (
+        4.0**s * math.gamma(n / 2.0 + s) * s
+        / (np.pi ** (n / 2.0) * math.gamma(1.0 - s))
+    )
 
 
 def bessel_constant(d, s):
@@ -78,7 +81,7 @@ def bessel_constant(d, s):
     if not (0.0 < s < (d - 1) / 2.0):
         raise ParameterOutOfRange(f"need 0 < s < {(d - 1) / 2.0} for d = {d}, got s = {s}")
     half = (d - 1) / 2.0
-    return 4.0**s * Gamma(half + s) / Gamma(half - s)
+    return 4.0**s * math.gamma(half + s) / math.gamma(half - s)
 
 
 def conformal_eigenvalue(d, s, l):
@@ -90,11 +93,20 @@ def conformal_eigenvalue(d, s, l):
     with mu_0 = c_bessel(d, s).  The Funk-Hecke eigenvalues of the singular
     part of the limiting kernel are lambda_l = D (c_bessel - mu_l); this closed
     form is the independent check for the quadrature route.
+
+    l is one degree or an array of them.  The Gamma ratio is built by its
+    recurrence, mu_{j+1} = mu_j (j + (d-1)/2 + s) / (j + (d-1)/2 - s), which
+    stays finite where Gamma itself overflows (l > 170).
     """
     check_order(d, s)
-    l = np.asarray(l)
+    ell = np.asarray(l)
+    if ell.size and not (np.all(ell >= 0) and np.all(ell == np.floor(ell))):
+        raise ParameterOutOfRange(f"need integer degrees l >= 0, got {l}")
+    ell = ell.astype(np.intp)
     half = (d - 1) / 2.0
-    return 4.0**s * Gamma(l + half + s) / Gamma(l + half - s)
+    j = np.arange(ell.max(initial=0))
+    ratios = np.cumprod((j + half + s) / (j + half - s))
+    return bessel_constant(d, s) * np.concatenate(([1.0], ratios))[ell]
 
 
 def hg_limit_b1(d, s):

@@ -25,14 +25,19 @@ modes (d = 2) or spherical harmonics (d = 3).  The module provides
 
 The three routes share no discretization machinery, which is what makes their
 agreement on band-limited fields a meaningful oracle.
+
+The special functions are built here by recurrence: the d = 3 real spherical
+harmonics from the normalized associated-Legendre recurrence
+(``_real_harmonics_d3``) and the Legendre rows of the Funk-Hecke quadrature
+from Bonnet's recurrence (``_legendre_rows``); Gauss rules come from numpy.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_legendre, gamma
 
 from .errors import (
     InvariantViolation,
@@ -139,33 +144,36 @@ def mode_degrees(d, lmax):
 
 
 def _real_harmonics_d3(dirs, lmax):
-    """Real orthonormal spherical harmonics evaluated at unit vectors."""
-    x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
-    polar = np.arccos(np.clip(z, -1.0, 1.0))
-    azim = np.arctan2(y, x)
-    cols = []
-    try:
-        from scipy.special import sph_harm_y
-
-        def ylm(l, mm):
-            return sph_harm_y(l, mm, polar, azim)
-
-    except ImportError:  # older scipy
-        from scipy.special import sph_harm
-
-        def ylm(l, mm):
-            return sph_harm(mm, l, azim, polar)
-
-    for l in range(lmax + 1):
-        block = [None] * (2 * l + 1)
-        block[l] = ylm(l, 0).real
-        for mm in range(1, l + 1):
-            cplx = ylm(l, mm)
-            sgn = (-1.0) ** mm
-            block[l + mm] = np.sqrt(2.0) * sgn * cplx.real
-            block[l - mm] = np.sqrt(2.0) * sgn * cplx.imag
-        cols.extend(block)
-    return np.stack(cols, axis=-1)
+    """
+    Real orthonormal spherical harmonics evaluated at unit vectors, degree l
+    in columns l^2 .. l^2 + 2l: sqrt(2) P_l^m(cos th) sin(m ph) for m = l..1,
+    P_l^0(cos th), then sqrt(2) P_l^m(cos th) cos(m ph) for m = 1..l.  The
+    P_l^m are the orthonormalized associated Legendre functions without the
+    Condon-Shortley phase, built by the three-term recurrence in l at fixed
+    m from the sectoral P_m^m (as in SHTns).
+    """
+    z = np.clip(dirs[..., 2], -1.0, 1.0)
+    sin_th = np.sqrt((1.0 - z) * (1.0 + z))
+    azim = np.arctan2(dirs[..., 1], dirs[..., 0])
+    out = np.empty(z.shape + ((lmax + 1) ** 2,))
+    p_mm = np.full(z.shape, 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(lmax + 1):
+        if m:
+            p_mm = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_th * p_mm
+            cos_m = np.sqrt(2.0) * np.cos(m * azim)
+            sin_m = np.sqrt(2.0) * np.sin(m * azim)
+        prev, cur = 0.0, p_mm
+        for l in range(m, lmax + 1):
+            if l > m:
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                prev, cur = cur, a * (z * cur - b * prev)
+            if m:
+                out[..., l * l + l + m] = cur * cos_m
+                out[..., l * l + l - m] = cur * sin_m
+            else:
+                out[..., l * l + l] = cur
+    return out
 
 
 def basis_at_directions(d, dirs, lmax):
@@ -276,6 +284,18 @@ def _graded_panels(upper, n_panels, per_panel=16):
     return nodes, wts
 
 
+def _legendre_rows(lmax, t):
+    """P_0(t) .. P_lmax(t), one row per degree, by the Bonnet recurrence
+    (l + 1) P_{l+1} = (2l + 1) t P_l - l P_{l-1}."""
+    rows = np.empty((lmax + 1,) + t.shape)
+    rows[0] = 1.0
+    if lmax:
+        rows[1] = t
+    for l in range(1, lmax):
+        rows[l + 1] = ((2 * l + 1) * t * rows[l] - l * rows[l - 1]) / (l + 1)
+    return rows
+
+
 def _eig_integral(kernel, lmax, n_panels):
     """All lambda_l on one graded mesh; the grading exponent flattens the
     (1-t)^{-alpha} endpoint so plain Gauss panels converge spectrally."""
@@ -294,7 +314,7 @@ def _eig_integral(kernel, lmax, n_panels):
     t = 1.0 - tau ** (1.0 / (1.0 - s))
     jac = (1.0 - t) / (tau * (1.0 - s))
     bvals = _kernel_on(kernel, t)
-    poly = eval_legendre(ell, t[None, :]) - 1.0
+    poly = _legendre_rows(lmax, t) - 1.0
     return 2.0 * np.pi * np.sum(poly * (bvals * jac * wts)[None, :], axis=1)
 
 
@@ -546,7 +566,7 @@ def sobolev_constant(n, s):
     return (
         2.0 ** (-2.0 * s)
         * np.pi ** (-s)
-        * gamma((n - 2.0 * s) / 2.0)
-        / gamma((n + 2.0 * s) / 2.0)
-        * (gamma(float(n)) / gamma(n / 2.0)) ** (2.0 * s / n)
+        * math.gamma((n - 2.0 * s) / 2.0)
+        / math.gamma((n + 2.0 * s) / 2.0)
+        * (math.gamma(float(n)) / math.gamma(n / 2.0)) ** (2.0 * s / n)
     )

@@ -219,6 +219,15 @@ class SolverConfig:
         if self.snapshot_every < 0 or self.diagnostics_every < 1:
             raise ParameterOutOfRange("invalid snapshot/diagnostics cadence")
 
+    def steps(self):
+        """The number of steps of dt to t_end, which must be an integer multiple."""
+        n_steps = int(round(self.t_end / self.dt))
+        if abs(n_steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ParameterOutOfRange(
+                f"t_end={self.t_end} is not an integer multiple of dt={self.dt}"
+            )
+        return n_steps
+
 
 @dataclass
 class DiagnosticsRecord:
@@ -352,7 +361,7 @@ def _sigma_table(kernel, lmax, with_b1):
     base = kernel.base
     if not with_b1:
         return np.zeros(lmax + 1)
-    mu = np.array([conformal_eigenvalue(base.d, base.s, l) for l in range(lmax + 1)])
+    mu = conformal_eigenvalue(base.d, base.s, np.arange(lmax + 1))
     return 2.0 ** (1 - base.d) * mu
 
 
@@ -670,11 +679,7 @@ def run(cfg, u0, observe=None):
         raise ParameterOutOfRange(
             f"initial data must be nonnegative, min = {u0.min_value():.3e}"
         )
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ParameterOutOfRange(
-            f"t_end={cfg.t_end} is not an integer multiple of dt={cfg.dt}"
-        )
+    n_steps = cfg.steps()
     eng = _engine_for(cfg, u0)
     g, angular = u0.spatial, u0.angular
 

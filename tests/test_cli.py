@@ -185,6 +185,16 @@ class TestConfigValidation:
             (
                 "study",
                 DECAY_STUDY,
+                {"name = decay": "name = decay\nn_ladder = 100000000000"},
+            ),
+            (
+                "study",
+                DECAY_STUDY,
+                {"dt = 0.025\nt_end = 2.5": "dt = 1.0\nt_end = 2.5"},
+            ),
+            (
+                "study",
+                DECAY_STUDY,
                 {"name = decay": "name = decay\ntransient_fraction = nan"},
             ),
             (
@@ -221,6 +231,8 @@ class TestConfigValidation:
             "level-set-lambda-inf",
             "decay-n-ladder-negative",
             "decay-n-ladder-4",
+            "decay-n-ladder-huge",
+            "decay-t-end-off-grid",
             "decay-transient-nan",
             "decay-transient-one",
             "operator-rate-cut-zero",
@@ -431,35 +443,65 @@ class TestOutDirectory:
 class TestStartup:
     """What a bare `import prte.cli` pulls in, which every job pays."""
 
-    def test_scipy_integrate_not_imported(self):
+    @staticmethod
+    def last_line(probe):
+        """Run `probe` in a fresh interpreter on this checkout's sources and
+        return the last line it printed."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(prte.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        probe = "import sys, prte.cli; print('scipy.integrate' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
             check=True,
         )
-        assert out.stdout.strip() == "False", "import prte.cli loaded scipy.integrate"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_scipy_integrate_not_imported(self):
+        probe = "import sys, prte.cli; print('scipy.integrate' in sys.modules)"
+        assert self.last_line(probe) == "False", "import prte.cli loaded scipy.integrate"
 
     def test_d2_solve_leaves_scipy_linalg_unloaded(self, tmp_path):
         """Gauss-Legendre rules come from numpy: the Funk-Hecke quadrature of a
         d=2 sphere-spectral solve must not pay for importing scipy.linalg."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(prte.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         args = ["solve", "--config", write_ini(tmp_path, BEAM_SOLVE), "--out", str(tmp_path)]
         probe = (
             f"import sys, prte.cli; code = prte.cli.main({args!r}); "
             "print(code, 'scipy.linalg' in sys.modules)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            check=True,
-        )
-        last = out.stdout.strip().splitlines()[-1]
+        last = self.last_line(probe)
         assert last == "0 False", f"a d=2 solve ended with {last!r} (exit code, scipy.linalg loaded)"
+
+    # tiny versions of every job kind the benchmark runs: (command, config)
+    JOBS = {
+        "d2-beam": ("solve", BEAM_SOLVE.replace("t_end = 0.5", "t_end = 0.04")),
+        "d2-projected": (
+            "solve",
+            BEAM_SOLVE.replace("[solver]", "[solver]\nbackend = projected-plane")
+            .replace("angles = 64", "L = 8.0\nn = 32")
+            .replace("dt = 0.02\nt_end = 0.5", "dt = 0.002\nt_end = 0.004"),
+        ),
+        "d3-beam": (
+            "solve",
+            BEAM_SOLVE.replace("dimension = 2", "dimension = 3")
+            .replace("m = 32", "m = 8")
+            .replace("angles = 64", "angles = 6")
+            .replace("lmax = 32", "lmax = 5")
+            .replace("t_end = 0.5", "t_end = 0.04"),
+        ),
+        "level-set": ("study", LEVEL_SET_STUDY.replace("t_end = 0.5", "t_end = 0.04")),
+    }
+
+    @pytest.mark.parametrize("kind", list(JOBS))
+    def test_job_leaves_scipy_unloaded(self, tmp_path, kind):
+        """Gamma values, Gauss rules, Legendre rows and spherical harmonics
+        all come from math, numpy and recurrences: no job kind imports scipy."""
+        command, text = self.JOBS[kind]
+        args = [command, "--config", write_ini(tmp_path, text), "--out", str(tmp_path)]
+        probe = (
+            f"import sys, prte.cli; code = prte.cli.main({args!r}); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        last = self.last_line(probe)
+        assert last == "0 []", f"{kind} ended with {last!r} (exit code, scipy modules)"

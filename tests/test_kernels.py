@@ -6,6 +6,7 @@ the fractional constant through the singular-integral definition
 zeros) and the Bessel/conformal constants through the Gamma closed forms.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,6 +143,30 @@ class TestConstants:
         assert mu(2, 0.25, 4) == pytest.approx(2.83116441587935574, rel=1e-14)
         # d=3, s=1/2: mu_l = 2l + 1 exactly
         assert np.allclose(mu(3, 0.5, np.arange(6)), 2.0 * np.arange(6) + 1.0, rtol=1e-14)
+
+    @pytest.mark.parametrize("d,s", [(2, 0.25), (3, 0.3), (2, 0.45)])
+    def test_conformal_eigenvalues_against_mpmath(self, d, s):
+        """The Gamma-ratio recurrence against mpmath's Gamma at 40 digits,
+        through l = 2000 (double-precision Gamma overflows beyond l = 170)."""
+        ell = np.arange(2001)
+        with mpmath.workdps(40):
+            half, sm = mpmath.mpf(d - 1) / 2, mpmath.mpf(s)
+            ref = np.array(
+                [
+                    float(4**sm * mpmath.gammaprod([l + half + sm], [l + half - sm]))
+                    for l in range(ell.size)
+                ]
+            )
+        mu = kernels.conformal_eigenvalue(d, s, ell)
+        err = np.max(np.abs(mu / ref - 1.0))
+        assert err < 1e-12, f"d={d}, s={s}: relative error {err:.2e}"
+        # a degree on its own reads the same entry as in the array
+        assert kernels.conformal_eigenvalue(d, s, 2000) == mu[-1]
+
+    def test_conformal_eigenvalue_degree_validation(self):
+        for bad in (-1, 1.5, np.nan):
+            with pytest.raises(ParameterOutOfRange):
+                kernels.conformal_eigenvalue(2, 0.25, bad)
 
     def test_derived_constants_default_kernel(self):
         """D, D0, D1 for the d=2, s=1/4, b1=1, h=0 kernel (frozen from the Gamma forms)."""

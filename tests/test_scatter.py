@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
-from scipy.special import eval_chebyt, eval_legendre, lpmv
+from scipy.special import eval_chebyt, eval_legendre, lpmv, sph_harm_y
 
 from prte.errors import (
     InvariantViolation,
@@ -25,6 +25,8 @@ from prte.scatter import (
     EPS_LADDER,
     AngularSpectrum,
     EigenTable,
+    _graded_panels,
+    _legendre_rows,
     analyze,
     apply_I_h,
     apply_scatter_projected,
@@ -115,7 +117,7 @@ class TestSphereQuadrature:
             assert abs(v) < 1e-10, f"P_{k} integrates to {v:.2e}"
 
     def test_gram_orthonormal(self):
-        for d, m, tol in ((2, 64, 1e-12), (3, 16, 1e-10)):
+        for d, m, tol in ((2, 64, 1e-12), (3, 16, 1e-10), (3, 24, 1e-13)):
             q = sphere_quadrature(d, m)
             b = basis_at_directions(d, q.nodes, q.lmax_cap())
             gram = b.T @ (q.weights[:, None] * b)
@@ -127,6 +129,46 @@ class TestSphereQuadrature:
             circle_quadrature(3)
         with pytest.raises(ParameterOutOfRange):
             polar_quadrature(1)
+
+
+def scipy_real_harmonics(dirs, lmax):
+    """The real orthonormal basis in storage order, built from scipy's complex
+    sph_harm_y (Condon-Shortley phase, undone by the (-1)^m factor)."""
+    polar = np.arccos(np.clip(dirs[..., 2], -1.0, 1.0))
+    azim = np.arctan2(dirs[..., 1], dirs[..., 0])
+    cols = []
+    for l in range(lmax + 1):
+        block = [None] * (2 * l + 1)
+        block[l] = sph_harm_y(l, 0, polar, azim).real
+        for m in range(1, l + 1):
+            cplx = np.sqrt(2.0) * (-1.0) ** m * sph_harm_y(l, m, polar, azim)
+            block[l + m], block[l - m] = cplx.real, cplx.imag
+        cols.extend(block)
+    return np.stack(cols, axis=-1)
+
+
+class TestRecurrences:
+    """The Legendre and spherical-harmonic recurrences against scipy."""
+
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_legendre_rows_on_graded_mesh(self, s):
+        tau, _ = _graded_panels(2.0 ** (1.0 - s), 64)
+        t = 1.0 - tau ** (1.0 / (1.0 - s))
+        rows = _legendre_rows(64, t)
+        ref = eval_legendre(np.arange(65)[:, None], t[None, :])
+        err = np.max(np.abs(rows - ref))
+        assert err < 1e-13, f"s={s}: Legendre rows off by {err:.2e}"
+
+    def test_harmonics_against_sph_harm_y(self):
+        rng = np.random.default_rng(5)
+        dirs = rng.standard_normal((500, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+        dirs = np.concatenate([dirs, poles, polar_quadrature(24).nodes])
+        ours = basis_at_directions(3, dirs, 40)
+        ref = scipy_real_harmonics(dirs, 40)
+        err = np.max(np.abs(ours - ref)) / np.max(np.abs(ref))
+        assert err < 1e-13, f"harmonics off by {err:.2e} relative"
 
 
 class TestTransforms:

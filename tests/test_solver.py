@@ -340,6 +340,19 @@ class TestRun:
         assert len(snaps) == 6  # t = 0, 0.1, ..., 0.5
         assert len(recs) == 11  # t = 0, 0.05, ..., 0.5
 
+    def test_energy_accounting_finite_past_degree_170(self):
+        """344 angles resolve degrees up to 172, where Gamma(l + s + 1/2)
+        overflows a double; the H^s weights must stay finite there."""
+        grid = SpatialGrid(2, 8.0, 8)
+        ang = sphere_quadrature(2, 344)
+        u0 = make_initial("gaussian-beam", grid, ang, sigma=1.0, sigma_theta=0.6)
+        cfg = SolverConfig(kernel=SPEC2, dt=0.01, t_end=0.05, lmax=32)
+        _, recs = run(cfg, u0)
+        for rec in recs:
+            assert np.isfinite(rec.hs_integral), f"hs_integral at t={rec.time}"
+            assert np.isfinite(rec.energy_residual), f"residual at t={rec.time}"
+        assert recs[-1].hs_integral > 0.0
+
     def test_x_uniform_anisotropy_decay_rate(self, grid2, ang2):
         tab = funk_hecke_eigs(SPEC2, 2)
         phi = np.arctan2(ang2.nodes[:, 1], ang2.nodes[:, 0])
