@@ -43,11 +43,21 @@ marching again.  Each `run`, and each one-step call, builds its own
 scattering engine, which lives as long as that call.
 
 Energy accounting: both time integrals entering the L2-vs-H^s energy
-inequality are accumulated from the same per-mode closed forms inside the
-scattering substep (the transport substep is unitary, so the full-step L2
-drop equals the scattering drop exactly).  The recorded interval residual is
-then a sum of structurally nonnegative per-mode terms, and vanishes at
-roundoff for a pure power-law kernel.
+inequality are accumulated inside the scattering substep (the transport
+substep is unitary, so the full-step L2 drop equals the scattering drop
+exactly).  On sphere-spectral they come from the same per-mode closed forms,
+so the recorded interval residual is a sum of structurally nonnegative
+per-mode terms and vanishes at roundoff for a pure power-law kernel.  On
+projected-plane they are trapezoids in time of ||u||^2 and of the plane
+seminorm, and the residual is nonnegative but O(1): about 17% of the
+window's drop in ||u||^2 / 2 for a d = 2 beam on an L = 16, n = 128 plane.
+The plane misses the polar cap beyond L, so the discrete operator's
+dissipation is not D0 ||u||^2_Hs.  On mapped planes of at most
+FORM_MAX_NODES = 512 nodes the H^s trapezoid is one quadratic form per dt,
+v (Q + M Q M^T) v^T with Q the plane seminorm's Gram matrix, built beside
+M.  Like M it costs 2 n_nodes flops a value; on one BLAS thread it beat the
+two plane FFT seminorms it replaces up to d = 2 n = 512 and lost at 1024
+nodes, so every d = 3 plane (at least 1024 nodes) keeps the FFTs.
 """
 
 import struct
@@ -465,7 +475,8 @@ class _ProjectedEngine:
     RK4 on the stereographic plane form with de-aliasing and mass repair.
     The substep is linear and the same for every row, so on planes of at
     most MAP_MAX_NODES nodes it is one precomputed n_nodes x n_nodes map per
-    dt.
+    dt, and on planes of at most FORM_MAX_NODES nodes its H^s integral is
+    one precomputed quadratic form per dt.
     """
 
     #: RK4 real-axis stability interval is |lam| dt <= 2.785; keep margin
@@ -477,6 +488,11 @@ class _ProjectedEngine:
     #: identity rows pushed through the RK4 code at a time while M is built,
     #: so the build holds M and one block's RK4 temporaries
     MAP_BUILD_ROWS = 256
+    #: largest mapped plane whose substep H^s integral is one quadratic form
+    #: (see the module docstring): on one BLAS thread the form beat the two
+    #: plane FFT seminorms at d = 2 n <= 512 and lost at n = 1024 and on the
+    #: d = 3 32^2 plane
+    FORM_MAX_NODES = 512
 
     def __init__(self, kernel, angular, lmax):
         if not isinstance(angular, ProjectedAngularGrid):
@@ -519,6 +535,7 @@ class _ProjectedEngine:
         self.wsum = float(angular.weights.sum())
         self._bound = None
         self._maps = {}
+        self._forms = {}
 
     def apply(self, flat):
         """Operator on (..., n_nodes) value arrays."""
@@ -564,7 +581,8 @@ class _ProjectedEngine:
         """
         `_substep` over dt as the matrix M with _substep(v) = v @ M: the
         identity pushed through it once per dt, and kept per dt for the rest
-        of the engine's life.
+        of the engine's life.  On planes of at most FORM_MAX_NODES nodes the
+        same build keeps the substep's H^s form beside M (see `_hs_form`).
         """
         M = self._maps.get(dt)
         if M is None:
@@ -574,7 +592,23 @@ class _ProjectedEngine:
                 rows = min(self.MAP_BUILD_ROWS, n - i)
                 M[i : i + rows] = self._substep(np.eye(rows, n, k=i), dt)
             self._maps[dt] = M
+            if n <= self.FORM_MAX_NODES:
+                self._forms[dt] = self._hs_form(M)
         return M
+
+    def _hs_form(self, M):
+        """
+        Q + M Q M^T, with Q = Re(F diag(hs_weight) F^H) the Gram matrix of
+        the plane seminorm and F the plane rfftn of diag(w0): for a row v,
+        v (Q + M Q M^T) v^T = seminorm_sq(v) + seminorm_sq(v M), the two ends
+        of the substep's trapezoid.
+        """
+        n = M.shape[0]
+        rows = np.diag(self.plane.w0.ravel()).reshape((n,) + self.pshape)
+        F = np.fft.rfftn(rows, axes=self.paxes).reshape(n, -1)
+        F *= np.sqrt(self.plane.hs_weight)
+        Q = F.real @ F.real.T + F.imag @ F.imag.T
+        return Q + M @ Q @ M.T
 
     def scatter_l2(self, values, dt, row_weight):
         if dt > self.stability_bound():
@@ -583,20 +617,30 @@ class _ProjectedEngine:
             )
         w = self.angular.weights
         n = len(w)
+        flat = values.reshape(-1, n)
         pre_l2 = _norm_sq(values, w, row_weight)
-        pre_hs = self._hs_total(values, row_weight)
-        if n <= self.MAP_MAX_NODES:
-            out = (values.reshape(-1, n) @ self.substep_map(dt)).reshape(values.shape)
+        M = self.substep_map(dt) if n <= self.MAP_MAX_NODES else None
+        form = None if M is None else self._forms.get(dt)
+        if form is None:
+            hs_ends = self._hs_total(values, row_weight)
         else:
+            # both ends of the trapezoid, from the pre-step values and before
+            # the step's output takes its memory
+            per_row = np.einsum("ij,ij->i", flat @ form, flat)
+            hs_ends = float(_row_sum(row_weight, per_row[:, None])[0])
+        if M is None:
             out = self._substep(values, dt)
+        else:
+            out = (flat @ M).reshape(values.shape)
         post_l2 = _norm_sq(out, w, row_weight)
         if post_l2 > pre_l2 * (1.0 + GROWTH_TOL):
             raise StabilityViolation(
                 f"projected scattering grew L2 by {post_l2 / pre_l2 - 1.0:.3e}"
             )
-        post_hs = self._hs_total(out, row_weight)
+        if form is None:
+            hs_ends += self._hs_total(out, row_weight)
         l2_int = 0.5 * dt * (pre_l2 + post_l2)
-        hs_int = 0.5 * dt * (pre_hs + post_hs)
+        hs_int = 0.5 * dt * hs_ends
         return out, l2_int, hs_int, post_l2
 
     def _hs_total(self, values, row_weight):
@@ -805,6 +849,13 @@ def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
     elif kind == "gaussian-beam":
         if not (np.isfinite(sigma_theta) and sigma_theta > 0.0):
             raise ParameterOutOfRange(f"need finite sigma_theta > 0, got {sigma_theta}")
+        # past overflow of 1/sigma_theta^2 the beam is 0/0 at e0, or zero at
+        # every node but the ones on e0
+        var = float(sigma_theta) ** 2
+        if not (var > 0.0 and np.isfinite(1.0 / var)):
+            raise ParameterOutOfRange(
+                f"need 1/sigma_theta^2 finite, got sigma_theta = {sigma_theta}"
+            )
         ang = np.exp((nodes[:, 0] - 1.0) / sigma_theta**2)
     elif kind == "harmonic-perturbation":
         if not (0.0 <= contrast <= 1.0):

@@ -172,6 +172,17 @@ class TestConfigValidation:
                 "solve",
                 BEAM_SOLVE,
                 {
+                    "[solver]": "[solver]\nbackend = projected-plane",
+                    "angles = 64": "L = 8.0\nn = 32",
+                    "dt = 0.02\nt_end = 0.5": "dt = 0.002\nt_end = 0.004",
+                    "sigma_theta = 0.6": "sigma_theta = 1e-300",
+                },
+            ),
+            ("solve", BEAM_SOLVE, {"sigma_theta = 0.6": "sigma_theta = 1e-160"}),
+            (
+                "solve",
+                BEAM_SOLVE,
+                {
                     "dimension = 2": "dimension = 3",
                     "m = 32": "m = 8",
                     "angles = 64": "angles = 6",
@@ -226,6 +237,8 @@ class TestConfigValidation:
             "X-nan",
             "dt-nan",
             "degree-negative-d2",
+            "beam-sigma-theta-tiny-projected",
+            "beam-sigma-theta-tiny-sphere",
             "degree-negative-d3",
             "level-set-lambda-nan",
             "level-set-lambda-inf",

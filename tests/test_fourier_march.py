@@ -8,7 +8,7 @@ exp(-i theta.k dt/2) built on the spot, and keeps the real part of the
 ifftn; scattering acts on physical values with the cell volume as its
 weight.  Both march random nonnegative data, which has energy in every bin,
 the Nyquist planes and the doubly-Nyquist bins included, and they must agree
-step by step to 1e-13 relative on all three engines: fields, every
+step by step to 1e-13 relative on all four engines: fields, every
 diagnostics column, and the fields and step integrals `run` hands its
 observer.
 """
@@ -91,13 +91,19 @@ def _case(name):
     if name == "d3-spectral":
         cfg = SolverConfig(kernel=SPEC3, dt=0.05, t_end=0.15, lmax=5)
         return cfg, 3, SpatialGrid(3, 8.0, 8), sphere_quadrature(3, 6)
+    if name == "d3-projected":
+        # the 32^2 plane's dt bound is 4.09e-4
+        cfg = SolverConfig(
+            kernel=SPEC3, dt=4e-4, t_end=1.2e-3, lmax=5, backend="projected-plane"
+        )
+        return cfg, 3, SpatialGrid(3, 8.0, 8), ProjectedAngularGrid(PlaneGrid(3, 8.0, 32))
     cfg = SolverConfig(
         kernel=SPEC2, dt=0.005, t_end=0.03, lmax=8, backend="projected-plane"
     )
     return cfg, 6, SpatialGrid(2, 8.0, 16), ProjectedAngularGrid(PlaneGrid(2, 8.0, 32))
 
 
-ENGINES = ("d2-spectral", "d3-spectral", "d2-projected")
+ENGINES = ("d2-spectral", "d3-spectral", "d2-projected", "d3-projected")
 
 
 def random_field(grid, angular, seed):

@@ -8,9 +8,12 @@ MAP_MAX_NODES nodes, and through the RK4 code itself on larger planes.
 Both routes must agree to 1e-13 relative on random fields, on a d = 2 plane
 and on a d = 3 32^2 plane; M must conserve the angular mass; and the
 half-spectrum H^s sum must equal the complex-fftn form it replaced, which
-is kept here as the oracle.  The engine's operator is the one
-`apply_scatter_projected` (criteria 3 and 4) evaluates, up to the node
-weight <v>^{d-1}, so the two routes cannot fork.
+is kept here as the oracle.  On mapped planes of at most FORM_MAX_NODES
+nodes the substep's H^s trapezoid is one quadratic form built beside M; it
+must equal the oracle at both ends of the step to 1e-13, and every d = 3
+plane (1024 nodes or more) must keep the two FFT seminorms.  The engine's
+operator is the one `apply_scatter_projected` (criteria 3 and 4) evaluates,
+up to the node weight <v>^{d-1}, so the two routes cannot fork.
 """
 
 from dataclasses import replace
@@ -89,6 +92,60 @@ def test_plane_over_limit_takes_rk4_route(name):
     want = small.scatter_l2(values, dt, 1.0)[0]
     assert dt in small._maps
     assert rel_dev(got, want) <= REL_TOL
+
+
+def oracle_hs_trapezoid(eng, values, dt, row_weight):
+    """The substep's H^s trapezoid from the oracle seminorm at both ends."""
+    after = values @ eng.substep_map(dt)
+    return 0.5 * dt * (
+        oracle_hs_total(eng, values, row_weight) + oracle_hs_total(eng, after, row_weight)
+    )
+
+
+def remainder(z):
+    return 0.3 * (1.0 + z) ** 2
+
+
+@pytest.mark.parametrize("n", [32, 128, _ProjectedEngine.FORM_MAX_NODES])
+@pytest.mark.parametrize("h", [None, remainder], ids=["power-law", "remainder"])
+def test_hs_form_matches_fft_trapezoid(n, h):
+    """A d = 2 plane under FORM_MAX_NODES builds its form with M, once per
+    dt, and the form's H^s integral is the FFT trapezoid; an engine whose
+    limit excludes the plane takes the FFT pair and agrees."""
+    spec = KernelSpec(d=2, s=0.25, b1=1.0, h=h)
+    angular = ProjectedAngularGrid(PlaneGrid(2, n / 4.0, n))
+    eng = _ProjectedEngine(spec, angular, lmax=8)
+    dt = 0.5 * eng.stability_bound()
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((2 * n + 5, n))
+    row_weight = rng.random(len(values))
+    out, _, hs_int, _ = eng.scatter_l2(values, dt, row_weight)
+    assert list(eng._forms) == [dt], "the form is built beside M"
+    assert hs_int == pytest.approx(
+        oracle_hs_trapezoid(eng, values, dt, row_weight), rel=REL_TOL, abs=0.0
+    )
+    fft = _ProjectedEngine(spec, angular, lmax=8)
+    fft.FORM_MAX_NODES = n - 1
+    fft_out, _, fft_hs, _ = fft.scatter_l2(values, dt, row_weight)
+    assert fft._forms == {} and dt in fft._maps
+    assert np.array_equal(fft_out, out), "the form route must not move the step"
+    assert hs_int == pytest.approx(fft_hs, rel=REL_TOL, abs=0.0)
+
+
+def test_d3_plane_keeps_fft_seminorms():
+    """A d = 3 plane (1024 nodes, over FORM_MAX_NODES) steps by its map,
+    builds no form, and its H^s integral is still the oracle trapezoid."""
+    eng, dt = engine("d3")
+    n = len(eng.angular.weights)
+    assert n > eng.FORM_MAX_NODES
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((9, n))
+    row_weight = rng.random(9)
+    hs_int = eng.scatter_l2(values, dt, row_weight)[2]
+    assert dt in eng._maps and eng._forms == {}
+    assert hs_int == pytest.approx(
+        oracle_hs_trapezoid(eng, values, dt, row_weight), rel=REL_TOL, abs=0.0
+    )
 
 
 @pytest.mark.parametrize("name, m", [("d2", 8), ("d3", 16)])

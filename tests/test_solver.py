@@ -415,6 +415,35 @@ class TestRun:
         factor_diff = abs(fs - fp) / fs
         assert factor_diff <= 2e-2, f"decay factors differ {factor_diff:.2e}"
 
+    def test_backend_agreement_d3(self, ang3):
+        """The d = 3 marches, sphere-spectral against a 32^2 plane at L = 8,
+        over 25 steps just under the plane's dt bound (4.09e-4).
+
+        The angular dynamics do not see the spatial grid, so a 4^3 box keeps
+        the projected march near a second.  Over t = 0.01 the L2 norm falls
+        by about 0.9%; the two drops agree to about 10% (the plane misses
+        the polar cap), and the norms and decay factors far tighter.
+        """
+        grid = SpatialGrid(3, 8.0, 4)
+        pang = ProjectedAngularGrid(PlaneGrid(3, 8.0, 32))
+        l2 = []
+        for angular, backend in ((ang3, "sphere-spectral"), (pang, "projected-plane")):
+            u0 = make_initial(
+                "harmonic-perturbation", grid, angular, sigma=1.0, degree=1, contrast=0.5
+            )
+            cfg = SolverConfig(
+                kernel=SPEC3, dt=4e-4, t_end=1e-2, lmax=15, backend=backend
+            )
+            _, recs = run(cfg, u0)
+            l2.append((recs[0].l2, recs[-1].l2))
+        (s0, s1), (p0, p1) = l2
+        norm_diff = abs(p1 - s1) / s1
+        assert norm_diff <= 1e-2, f"backend L2 norms differ {norm_diff:.2e}"
+        factor_diff = abs(p1 / p0 - s1 / s0) / (s1 / s0)
+        assert factor_diff <= 2e-3, f"decay factors differ {factor_diff:.2e}"
+        drop_ratio = (1.0 - p1 / p0) / (1.0 - s1 / s0)
+        assert abs(drop_ratio - 1.0) <= 0.2, f"L2 drops differ by {drop_ratio:.3f}x"
+
     def test_diagnostics_cadence(self, grid2, ang2):
         u0 = make_initial("isotropic-blob", grid2, ang2)
         cfg = SolverConfig(

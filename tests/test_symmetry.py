@@ -28,6 +28,9 @@ Rotations per engine:
   [-L, L), which has a node at -L and none at +L, so no mirror of the
   circle maps the node set onto itself, and the lattice is not uniform in
   angle, so no quarter turn does either.
+- d=3 projected-plane: none.  A quarter turn about z turns the plane
+  lattice [-L, L)^2 too, and maps its row of nodes at -L to +L, where it
+  has none.
 """
 
 import numpy as np
@@ -58,6 +61,13 @@ def _case(name):
     if name == "d3-spectral":
         cfg = SolverConfig(kernel=SPEC3, dt=0.05, t_end=0.15, lmax=3, snapshot_every=3)
         return cfg, SpatialGrid(3, 8.0, 16), sphere_quadrature(3, 4)
+    if name == "d3-projected":
+        # 3 steps just under the 32^2 plane's bound of 4.09e-4
+        cfg = SolverConfig(
+            kernel=SPEC3, dt=4e-4, t_end=1.2e-3, lmax=3,
+            backend="projected-plane", snapshot_every=3,
+        )
+        return cfg, SpatialGrid(3, 8.0, 8), ProjectedAngularGrid(PlaneGrid(3, 8.0, 32))
     cfg = SolverConfig(
         kernel=SPEC2, dt=0.005, t_end=0.05, lmax=8,
         backend="projected-plane", snapshot_every=10,
@@ -65,7 +75,7 @@ def _case(name):
     return cfg, SpatialGrid(2, 8.0, 16), ProjectedAngularGrid(PlaneGrid(2, 8.0, 32))
 
 
-ENGINES = ("d2-spectral", "d3-spectral", "d2-projected")
+ENGINES = ("d2-spectral", "d3-spectral", "d2-projected", "d3-projected")
 
 
 def _bump(grid, center, widths):
