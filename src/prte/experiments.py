@@ -419,6 +419,12 @@ def operator_rate_study(psi, s, g_ladder, threads=1):
 # level-set energies
 
 
+def _truncate(values, lam):
+    """(u - lambda)_+ in one new array."""
+    t = values - lam
+    return np.maximum(t, 0.0, out=t)
+
+
 def level_set_energy_check(cfg, u0, lambdas):
     """
     For each level height lambda, verify the truncated-energy inequality on
@@ -458,14 +464,14 @@ def level_set_energy_check(cfg, u0, lambdas):
         if step == 0:
             l2_emit0 = u.l2() ** 2
             for lam in positives:
-                f = functionals(np.maximum(u.values - lam, 0.0))
+                f = functionals(_truncate(u.values, lam))
                 state[lam] = {"prev": f, "emit": f[0], "win_l2": 0.0, "win_hs": 0.0}
             return
         win_l20 += dl2
         win_hs0 += dhs
         for lam in positives:
             st = state[lam]
-            f = functionals(np.maximum(u.values - lam, 0.0))
+            f = functionals(_truncate(u.values, lam))
             st["win_l2"] += 0.5 * cfg.dt * (st["prev"][0] + f[0])
             st["win_hs"] += 0.5 * cfg.dt * (st["prev"][1] + f[1])
             st["prev"] = f

@@ -386,9 +386,18 @@ class PlaneOperator:
         spec = np.fft.fftn(f * self.w0, axes=self.axes)
         return f * self.bw0 - np.fft.ifftn(self.mult * spec, axes=self.axes).real
 
-    def seminorm_sq(self, f):
-        spec = np.fft.rfftn(f * self.w0, axes=self.axes)
-        power = spec.real**2 + spec.imag**2
+    def seminorm_sq(self, f, scratch=None, spec=None):
+        """
+        `scratch` (float, f's shape) and `spec` (complex, the rfftn
+        half-spectrum's shape), when given, are C-ordered arrays whose bytes
+        hold the temporaries; f is never written.
+        """
+        fw = np.multiply(f, self.w0, out=scratch)
+        spec = np.fft.rfftn(fw, axes=self.axes, out=spec)
+        # fw is consumed: the power takes its bytes, and the imaginary parts'
+        # squares take the real parts' place
+        power = np.square(spec.real, out=fw.reshape(-1)[: spec.size].reshape(spec.shape))
+        power += np.square(spec.imag, out=spec.real)
         per = power.reshape(-1, self.hs_weight.size) @ self.hs_weight
         return per.reshape(f.shape[: f.ndim - len(self.axes)])
 

@@ -42,6 +42,17 @@ every step subscribes to `run` through its `observe` argument instead of
 marching again.  Each `run`, and each one-step call, builds its own
 scattering engine, which lives as long as that call.
 
+Each engine owns one workspace (`_Workspace`): the batch of rows and the
+batch-sized arrays its substep needs, built on first use and kept for the
+engine's life, so a march allocates them once instead of every step.  Every
+batch-sized temporary of the substep goes through it by numpy's `out=` as
+the same FFT, BLAS or ufunc call on the same operands, so no number moves.
+The caller's arrays are never written: `scatter_l2` copies its input into
+the batch.  An emit's last half-step and the complex passes of its irfftn
+run in the batch's bytes too; the physical field is a new array whenever
+the observer or a snapshot may keep it, so `observe` always gets a fresh
+field.
+
 Energy accounting: both time integrals entering the L2-vs-H^s energy
 inequality are accumulated inside the scattering substep (the transport
 substep is unitary, so the full-step L2 drop equals the scattering drop
@@ -60,6 +71,7 @@ two plane FFT seminorms it replaces up to d = 2 n = 512 and lost at 1024
 nodes, so every d = 3 plane (at least 1024 nodes) keeps the FFTs.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -190,14 +202,15 @@ class PhaseField:
         w = self.angular.weights
         return float(self.spatial.cell_volume() * np.sum(self.values @ w))
 
-    def l2(self):
+    def l2(self, scratch=None):
+        """||u||; `scratch`, an array of the values' shape, takes the squares."""
         w = self.angular.weights
-        return float(
-            np.sqrt(self.spatial.cell_volume() * np.sum((self.values**2) @ w))
-        )
+        sq = np.square(self.values, out=scratch)
+        return float(np.sqrt(self.spatial.cell_volume() * np.sum(sq @ w)))
 
-    def linf(self):
-        return float(np.max(np.abs(self.values)))
+    def linf(self, scratch=None):
+        """max |u|; `scratch`, an array of the values' shape, takes |u|."""
+        return float(np.max(np.abs(self.values, out=scratch)))
 
     def min_value(self):
         return float(np.min(self.values))
@@ -259,8 +272,15 @@ def _to_spectrum(u):
     return np.fft.rfftn(u.values, axes=tuple(range(u.spatial.d)))
 
 
-def _to_values(spatial, spec):
-    return np.fft.irfftn(spec, s=spatial.shape, axes=tuple(range(spatial.d)))
+def _to_values(spatial, spec, out=None):
+    """
+    irfftn over the space axes, pass for pass as numpy runs it, but with the
+    complex passes in place: spec is overwritten, and the real field goes to
+    `out`, or to a new array.
+    """
+    for axis in range(spatial.d - 1):
+        np.fft.ifft(spec, spatial.m, axis, out=spec)
+    return np.fft.irfft(spec, spatial.m, spatial.d - 1, out=out)
 
 
 def _transport_table(spatial, angular, tau):
@@ -315,15 +335,13 @@ def _scatter_spectrum(eng, spec, dt, row_weight):
     """
     Scattering over dt on the spectrum, in place.  The engines are real-linear
     and the same at every x, so they act on the real and imaginary parts as
-    one real batch of rows.  Returns the substep's (int ||u||^2 dtau,
-    int ||u||^2_Hs dtau) and ||u||^2 after it.
+    one real batch of rows, filled in the engine's kept batch.  Returns the
+    substep's (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it.
     """
-    flat = spec.reshape(-1, spec.shape[-1])
-    rows = flat.shape[0]
+    rows = spec.size // spec.shape[-1]
     out, dl2, dhs, l2sq = eng.scatter_l2(
-        np.concatenate((flat.real, flat.imag)), dt, row_weight
+        eng.ws.load(spec.real, spec.imag), dt, row_weight
     )
-    # write through spec itself: flat is a copy when spec is not C-ordered
     spec.real = out[:rows].reshape(spec.shape)
     spec.imag = out[rows:].reshape(spec.shape)
     return dl2, dhs, l2sq
@@ -385,9 +403,60 @@ def _row_sum(row_weight, a):
     return np.broadcast_to(np.ravel(row_weight), a.shape[:1]) @ a
 
 
-def _norm_sq(values, weights, row_weight):
-    """||u||^2: row-weighted sum of the angular quadrature of values^2."""
-    return float(_row_sum(row_weight, ((values * values) @ weights)[..., None])[0])
+def _norm_sq(values, weights, row_weight, scratch):
+    """||u||^2: row-weighted sum of the angular quadrature of values^2, with
+    the squares in `scratch`, an array of the values' shape."""
+    sq = np.multiply(values, values, out=scratch)
+    return float(_row_sum(row_weight, (sq @ weights)[..., None])[0])
+
+
+class _Workspace:
+    """
+    The batch-sized arrays of one engine, kept from call to call, so that a
+    march allocates them once instead of every step.  Each named slot is a
+    byte buffer that grows to the largest request and is handed out as a
+    view of any shape and dtype, so an array whose contents are dead lends
+    its bytes to the next temporary.  The slots:
+
+    ``batch``  the real (rows, n) batch a substep scatters in place;
+    ``out``    a second array at least the batch's size: the rfft bins
+               (d=2 spectral), the product with the basis (d=3 spectral),
+               or the substep's output (projected);
+    ``coef``   harmonic coefficients (d=3 spectral) or plane half-spectra
+               (projected, FFT route).
+
+    All are dead between steps, so the emit (`_Engine.field`, `_Engine.norms`)
+    builds each field and its norms in them.  The engine that owns the
+    workspace is its only user, and what the engine returns is valid until
+    its next call.
+    """
+
+    def __init__(self):
+        self._slots = {}
+
+    def take(self, name, shape, dtype=float):
+        """Slot `name` as a C-ordered array of `shape`; contents undefined."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._slots.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._slots[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+    def load(self, *parts):
+        """
+        The batch: the rows of `parts` (arrays of shape (..., n)) stacked in
+        order in slot "batch", as an (rows, n) array.  The parts are copied
+        and never written.
+        """
+        n = parts[0].shape[-1]
+        batch = self.take("batch", (sum(p.size for p in parts) // n, n))
+        start = 0
+        for p in parts:
+            rows = p.size // n
+            np.copyto(batch[start : start + rows].reshape(p.shape), p)
+            start += rows
+        return batch
 
 
 def _decay_integral(lam, dt):
@@ -399,10 +468,43 @@ def _decay_integral(lam, dt):
     return out
 
 
-class _SpectralEngine:
+class _Engine:
+    """
+    What both scattering engines share: the workspace, and the emit's use of
+    its bytes, which are all dead between steps.
+    """
+
+    def __init__(self):
+        self.ws = _Workspace()
+
+    def start(self, spec):
+        """Take the batch at the size of the run's spectrum, which every
+        substep's batch and every emit's temporaries fit in, so that a run
+        allocates it once."""
+        self.ws.take("batch", spec.shape, complex)
+
+    def field(self, spatial, spec, half, keep):
+        """
+        The physical field of spec * half, the last half-step of an emit.
+        The product and the complex passes of irfftn run in the batch's
+        bytes.  The field is a new array when `keep`, and else lives in the
+        "out" slot until the engine's next call; spec is never written.
+        """
+        prod = np.multiply(spec, half, out=self.ws.take("batch", spec.shape, complex))
+        shape = spatial.shape + spec.shape[-1:]
+        return _to_values(spatial, prod, None if keep else self.ws.take("out", shape))
+
+    def norms(self, u):
+        """(||u||, max |u|) of a field, with the squares in the batch's bytes."""
+        scratch = self.ws.take("batch", u.values.shape)
+        return u.l2(scratch), u.linf(scratch)
+
+
+class _SpectralEngine(_Engine):
     """Exact exponential integrator in the angular eigenbasis."""
 
     def __init__(self, kernel, angular, lmax):
+        super().__init__()
         if not isinstance(angular, SphereQuadrature):
             raise ParameterOutOfRange(
                 "sphere-spectral backend needs SphereQuadrature angular nodes"
@@ -428,49 +530,65 @@ class _SpectralEngine:
             self.proj = angular.weights[:, None] * basis
             self.degrees = mode_degrees(3, self.lmax)
 
-    def _spectrum(self, values):
-        """Angular transform: rfft bins (d=2) or harmonic coefficients (d=3)."""
+    def _spectrum(self, flat):
+        """Angular transform into the workspace: rfft bins (d=2) or harmonic
+        coefficients (d=3) of the (rows, n) array flat."""
         if self.d == 2:
-            return np.fft.rfft(values, axis=-1)
-        return values @ self.proj
+            shape = (flat.shape[0], flat.shape[1] // 2 + 1)
+            return np.fft.rfft(flat, axis=-1, out=self.ws.take("out", shape, complex))
+        shape = (flat.shape[0], self.proj.shape[1])
+        return np.matmul(flat, self.proj, out=self.ws.take("coef", shape))
 
-    def _masses(self, spec, values, row_weight):
-        """Per-degree mode masses plus the beyond-band remainder (d=3 only)."""
+    def _masses(self, spec, flat, row_weight):
+        """
+        Per-degree mode masses plus the beyond-band remainder (d=3 only).
+        The squares take workspace bytes that are dead here: the batch's at
+        d=2, where the rfft has consumed it, and the output's at d=3.
+        """
         if self.d == 2:
-            m = values.shape[-1]
+            m = flat.shape[-1]
             # Parseval mode masses over the angular rfft bins
-            power = _row_sum(row_weight, np.abs(spec) ** 2)
+            power = np.abs(spec, out=self.ws.take("batch", spec.shape))
+            power = _row_sum(row_weight, np.square(power, out=power))
             return (2.0 * np.pi / m**2) * half_multiplicity(m) * power, 0.0
-        per_mode = _row_sum(row_weight, spec**2)
+        sq = np.square(spec, out=self.ws.take("out", spec.shape))
+        per_mode = _row_sum(row_weight, sq)
         resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
-        total = _norm_sq(values, self.angular.weights, row_weight)
+        total = _norm_sq(
+            flat, self.angular.weights, row_weight, self.ws.take("out", flat.shape)
+        )
         return resolved, max(total - float(resolved.sum()), 0.0)
 
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
-        resolved, unresolved = self._masses(self._spectrum(values), values, row_weight)
+        flat = values.reshape(-1, values.shape[-1])
+        resolved, unresolved = self._masses(self._spectrum(flat), flat, row_weight)
         l2sq = float(resolved.sum()) + unresolved
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
     def scatter_l2(self, values, dt, row_weight):
         lam = self.lambdas
-        spec = self._spectrum(values)
-        resolved, unresolved = self._masses(spec, values, row_weight)
+        flat = self.ws.load(values)
+        spec = self._spectrum(flat)
+        resolved, unresolved = self._masses(spec, flat, row_weight)
         if self.d == 2:
-            out = np.fft.irfft(spec * np.exp(lam * dt), n=values.shape[-1], axis=-1)
+            np.multiply(spec, np.exp(lam * dt), out=spec)
+            out = np.fft.irfft(spec, n=flat.shape[-1], axis=-1, out=flat)
+            # the bins are consumed: the squares take their bytes
+            scratch = self.ws.take("out", out.shape)
         else:
-            out = values + (spec * np.expm1(lam[self.degrees] * dt)) @ self.basis.T
+            np.multiply(spec, np.expm1(lam[self.degrees] * dt), out=spec)
+            scratch = np.matmul(spec, self.basis.T, out=self.ws.take("out", flat.shape))
+            out = np.add(flat, scratch, out=flat)
         g = _decay_integral(lam, dt)
         l2_int = float(np.sum(resolved * g)) + unresolved * dt
         hs_int = float(np.sum(self.sigma * resolved * g))
-        # free the input batch and its coefficients before the norm takes an
-        # out-sized temporary: this is where a d=3 march peaks in memory
-        del spec, values
-        return out, l2_int, hs_int, _norm_sq(out, self.angular.weights, row_weight)
+        l2sq = _norm_sq(out, self.angular.weights, row_weight, scratch)
+        return out.reshape(values.shape), l2_int, hs_int, l2sq
 
 
-class _ProjectedEngine:
+class _ProjectedEngine(_Engine):
     """
     RK4 on the stereographic plane form with de-aliasing and mass repair.
     The substep is linear and the same for every row, so on planes of at
@@ -503,6 +621,7 @@ class _ProjectedEngine:
             raise ParameterOutOfRange(
                 "projected-plane backend integrates the limiting kernel only"
             )
+        super().__init__()
         self.kernel = kernel
         self.angular = angular
         grid = angular.plane
@@ -617,47 +736,61 @@ class _ProjectedEngine:
             )
         w = self.angular.weights
         n = len(w)
-        flat = values.reshape(-1, n)
-        pre_l2 = _norm_sq(values, w, row_weight)
+        flat = self.ws.load(values)
+        # the output's bytes serve as scratch until the step writes them
+        out = self.ws.take("out", flat.shape)
+        pre_l2 = _norm_sq(flat, w, row_weight, out)
         M = self.substep_map(dt) if n <= self.MAP_MAX_NODES else None
         form = None if M is None else self._forms.get(dt)
         if form is None:
-            hs_ends = self._hs_total(values, row_weight)
+            hs_ends = self._hs_total(flat, row_weight, out)
         else:
-            # both ends of the trapezoid, from the pre-step values and before
-            # the step's output takes its memory
-            per_row = np.einsum("ij,ij->i", flat @ form, flat)
+            # both ends of the trapezoid, from the pre-step values
+            per_row = np.einsum("ij,ij->i", np.matmul(flat, form, out=out), flat)
             hs_ends = float(_row_sum(row_weight, per_row[:, None])[0])
         if M is None:
-            out = self._substep(values, dt)
+            out = self._substep(flat, dt)
         else:
-            out = (flat @ M).reshape(values.shape)
-        post_l2 = _norm_sq(out, w, row_weight)
+            np.matmul(flat, M, out=out)
+        # the input batch is consumed: the squares take its bytes
+        post_l2 = _norm_sq(out, w, row_weight, flat)
         if post_l2 > pre_l2 * (1.0 + GROWTH_TOL):
             raise StabilityViolation(
                 f"projected scattering grew L2 by {post_l2 / pre_l2 - 1.0:.3e}"
             )
         if form is None:
-            hs_ends += self._hs_total(out, row_weight)
+            hs_ends += self._hs_total(out, row_weight, flat)
         l2_int = 0.5 * dt * (pre_l2 + post_l2)
         hs_int = 0.5 * dt * hs_ends
-        return out, l2_int, hs_int, post_l2
+        return out.reshape(values.shape), l2_int, hs_int, post_l2
 
-    def _hs_total(self, values, row_weight):
-        """int ||(-Lap)^{s/2} (u w0)||^2 over space: row-weighted seminorms."""
-        per_x = self.plane.seminorm_sq(values.reshape(values.shape[:-1] + self.pshape))
+    def _hs_total(self, values, row_weight, scratch):
+        """
+        int ||(-Lap)^{s/2} (u w0)||^2 over space: row-weighted seminorms.
+        Its temporaries take the "coef" slot and the bytes of `scratch`, a
+        dead C-ordered array of the values' shape.
+        """
+        f = values.reshape(values.shape[:-1] + self.pshape)
+        half = f.shape[:-1] + (f.shape[-1] // 2 + 1,)
+        per_x = self.plane.seminorm_sq(
+            f, scratch.reshape(f.shape), self.ws.take("coef", half, complex)
+        )
         return float(_row_sum(row_weight, per_x.reshape(-1, 1))[0])
 
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
-        l2sq = _norm_sq(values, self.angular.weights, row_weight)
-        return l2sq, self._hs_total(values, row_weight)
+        flat = values.reshape(-1, values.shape[-1])
+        scratch = self.ws.take("out", flat.shape)
+        l2sq = _norm_sq(flat, self.angular.weights, row_weight, scratch)
+        return l2sq, self._hs_total(flat, row_weight, scratch)
 
 
 def _engine_for(cfg, u):
     """A new scattering engine for cfg on u's angular grid.  Its
     `scatter_l2(values, dt, row_weight)` returns the new values, the substep's
-    int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and ||u||^2 after it."""
+    int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and ||u||^2 after it.  It
+    copies values into its workspace batch and never writes them; the new
+    values live in the workspace until the engine's next call."""
     cls = _SpectralEngine if cfg.backend == "sphere-spectral" else _ProjectedEngine
     return cls(cfg.kernel, u.angular, cfg.lmax)
 
@@ -735,15 +868,17 @@ def run(cfg, u0, observe=None):
     row_weight = _parseval_weights(g)
     zero_row = (0,) * g.d
     spec = _to_spectrum(u0)
+    # before u0's norms and the first observer call borrow the workspace
+    eng.start(spec)
     time = u0.time
     mass0 = u0.mass()
-    l2_prev_step = u0.l2()
+    l2_prev_step, linf0 = eng.norms(u0)
     l2_prev_emit = l2_prev_step
     hs_total = 0.0
     win_l2 = 0.0
     win_hs = 0.0
     records = [
-        DiagnosticsRecord(time, mass0, l2_prev_step, u0.linf(), 0.0, 0.0)
+        DiagnosticsRecord(time, mass0, l2_prev_step, linf0, 0.0, 0.0)
     ]
     snapshots = [u0.copy()] if cfg.snapshot_every else []
     if observe is not None:
@@ -775,11 +910,13 @@ def run(cfg, u0, observe=None):
         )
         if not (emit or snap or observe is not None):
             continue
-        u = PhaseField(g, angular, _to_values(g, spec * half), time)
+        # a new array only when the observer or a snapshot may keep it
+        keep = snap or observe is not None
+        u = PhaseField(g, angular, eng.field(g, spec, half, keep), time)
         if observe is not None:
             observe(u, dl2, dhs, functionals)
         if emit:
-            l2_emit = u.l2()
+            l2_emit, linf = eng.norms(u)
             hs_total += win_hs
             residual = (
                 0.5 * l2_prev_emit**2
@@ -788,14 +925,14 @@ def run(cfg, u0, observe=None):
                 - eng.D0 * win_hs
             )
             records.append(
-                DiagnosticsRecord(time, mass_now, l2_emit, u.linf(), hs_total, residual)
+                DiagnosticsRecord(time, mass_now, l2_emit, linf, hs_total, residual)
             )
             l2_prev_emit = l2_emit
             win_l2 = 0.0
             win_hs = 0.0
         if snap:
             snapshots.append(u)
-        # let the field go before the next step's scatter takes its temporaries
+        # a new field that no one kept is freed here, not at the next emit
         del u
     return snapshots, records
 
@@ -902,9 +1039,11 @@ def write_snapshot(u, path):
         len(u.angular.weights),
         u.time,
     )
+    payload = np.ascontiguousarray(u.values, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
+        # straight from the array's buffer: .tobytes() would copy the field
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_snapshot(path):

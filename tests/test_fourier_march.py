@@ -13,6 +13,7 @@ diagnostics column, and the fields and step integrals `run` hands its
 observer.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,12 @@ from prte.solver import (
     SolverConfig,
     SpatialGrid,
     _engine_for,
+    _parseval_weights,
+    _scatter_spectrum,
+    _to_spectrum,
+    energy_functionals,
     run,
+    scattering_step,
     strang_step_energy,
     transport_step,
 )
@@ -178,8 +184,63 @@ def test_strang_step_energy_matches_oracle(name):
     want, wl2, whs = oracle_step(u, cfg.dt, _engine_for(cfg, u))
     assert rel_dev(got.values, want.values) <= REL_TOL
     assert got.time == want.time
-    assert dl2 == pytest.approx(wl2, rel=REL_TOL)
-    assert dhs == pytest.approx(whs, rel=REL_TOL)
+    assert dl2 == pytest.approx(wl2, rel=REL_TOL, abs=0)
+    assert dhs == pytest.approx(whs, rel=REL_TOL, abs=0)
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_callers_values_are_never_written(name):
+    """The engines scatter in their own workspace: no one-step call and no
+    run writes the caller's field, and every field a run hands its observer
+    or keeps as a snapshot is its own array, which later steps leave alone."""
+    cfg, n_steps, grid, angular = _case(name)
+    u = random_field(grid, angular, seed=17)
+    before = u.values.copy()
+    scattering_step(u, cfg.dt, cfg)
+    strang_step_energy(u, cfg.dt, cfg)
+    energy_functionals(u, cfg)
+    seen = []
+
+    def observe(v, dl2, dhs, functionals):
+        functionals(v.values)
+        seen.append((v, v.values.copy()))
+
+    run(replace(cfg, snapshot_every=2, diagnostics_every=3), u, observe)
+    run(cfg, u)
+    assert u.values.tobytes() == before.tobytes()
+    assert len(seen) == n_steps + 1
+    for step, (v, copy) in enumerate(seen):
+        assert v.values.tobytes() == copy.tobytes(), f"observed field {step} changed"
+
+
+#: cells per axis for the allocation test: batches of 2.6-5.2 MB, so that
+#: the fixed 8192-element buffer a broadcasting ufunc takes stays far below
+#: an eighth of one
+ALLOC_CELLS = {"d2-spectral": 128, "d3-spectral": 16, "d2-projected": 128, "d3-projected": 8}
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_scatter_substep_allocates_no_batch(name):
+    """After one warm-up substep, the next allocates less than an eighth of
+    one batch of rows: every batch-sized temporary lives in the engine's
+    workspace (numpy reports its data buffers to tracemalloc)."""
+    cfg, _, grid, angular = _case(name)
+    grid = SpatialGrid(grid.d, grid.X, ALLOC_CELLS[name])
+    u = random_field(grid, angular, seed=19)
+    eng = _engine_for(cfg, u)
+    spec = _to_spectrum(u)
+    row_weight = _parseval_weights(grid)
+    _scatter_spectrum(eng, spec, cfg.dt, row_weight)
+    batch_bytes = 2 * (spec.size // spec.shape[-1]) * spec.shape[-1] * 8
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _scatter_spectrum(eng, spec, cfg.dt, row_weight)
+        extra = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert extra < batch_bytes / 8, f"{extra} bytes against a {batch_bytes}-byte batch"
 
 
 def test_input_memory_order_does_not_matter():

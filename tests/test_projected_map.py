@@ -197,7 +197,7 @@ def test_hs_total_matches_complex_fftn(name):
     rng = np.random.default_rng(4)
     values = rng.standard_normal((9, n))
     for row_weight in (0.37, rng.random(9)):
-        got = eng._hs_total(values, row_weight)
+        got = eng._hs_total(values, row_weight, np.empty_like(values))
         want = oracle_hs_total(eng, values, row_weight)
         assert got == pytest.approx(want, rel=REL_TOL)
 

@@ -25,6 +25,7 @@ from prte.kernels import HGSpec, KernelSpec
 from prte.scatter import basis_at_directions, funk_hecke_eigs, sphere_quadrature
 from prte.solver import (
     DIAGNOSTICS_HEADER,
+    SNAPSHOT_HEADER_BYTES,
     PhaseField,
     ProjectedAngularGrid,
     SolverConfig,
@@ -471,6 +472,19 @@ class TestSnapshotIO:
         assert (d, m, n_ang) == (2, 32, 64)
         assert t == pytest.approx(snaps[-1].time)
         assert np.array_equal(vals, snaps[-1].values)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_snapshot_payload_is_the_fields_bytes(self, tmp_path, grid2, ang2, order):
+        """The payload is written from the array's buffer; a field in any
+        memory order writes the bytes of its C-ordered little-endian copy."""
+        rng = np.random.default_rng(11)
+        values = np.asarray(rng.standard_normal(grid2.shape + (64,)), order=order)
+        u = PhaseField(grid2, ang2, values, time=0.25)
+        path = os.fspath(tmp_path / "state.snap")
+        write_snapshot(u, path)
+        raw = open(path, "rb").read()
+        want = np.ascontiguousarray(values, dtype="<f8").tobytes()
+        assert raw[SNAPSHOT_HEADER_BYTES:] == want
 
     def test_snapshot_header_checks(self, tmp_path, grid2, ang2):
         u = PhaseField(grid2, ang2, np.ones(grid2.shape + (64,)))

@@ -1,0 +1,207 @@
+"""
+Same-session before/after benchmark: `perfbench/run.py` on a base checkout
+and on this checkout, alternated pair by pair, summarised in one JSON file.
+
+    python3 tools/bench_pairs.py --base HEAD~1 --label my_change --pairs 10 --seeds 0 1
+
+`--base REV` unpacks that git revision (`git archive`) into a temporary
+directory, which is removed at the end.  For every workload and seed, pair
+k runs `perfbench/run.py --trace 0` once on each side, the base first when
+k is even and the head first when k is odd, so neither side always runs in
+the other's wake.  A pair's winner on a metric is the side whose value is
+better in the direction `BENCHMARK.json` gives.  Times are comparable only within
+one session on one machine, which is why both sides run here side by side.
+
+Besides the timed runs, each side runs one set-up job (one step) and one
+full job of every workload at the first seed as a plain `python3 -m
+prte.cli` child, and `os.wait4` records its minor page faults (`ru_minflt`)
+and peak RSS.
+
+The result goes to `BENCH_<label>.json` in this checkout's root: per workload, seed and end-to-end metric, each side's samples,
+median, quartiles and range, the head/base ratio of the medians, the head's
+pair wins, and whether the head is clearly better: it wins at least 9 pairs
+in 10 and the medians differ by more than the base's interquartile range.
+"""
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS, beam_for_seed, config_text  # noqa: E402
+
+#: a clear gain wins at least this share of the pairs
+WIN_SHARE = 0.9
+
+
+def end_to_end_metrics():
+    """(name, better) of each end-to-end metric BENCHMARK.json declares."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+
+
+def head_commit():
+    """This checkout's HEAD, marked when the working tree differs from it."""
+    try:
+        rev = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"], check=True,
+                             capture_output=True, text=True).stdout.strip()
+        dirty = subprocess.run(["git", "-C", ROOT, "status", "--porcelain"], check=True,
+                               capture_output=True, text=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return rev + (" plus uncommitted changes" if dirty else "")
+
+
+def unpack_base(rev, into):
+    """The tree of git revision `rev`, unpacked under `into`."""
+    dest = os.path.join(into, "base")
+    os.makedirs(dest)
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", rev], check=True, capture_output=True
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return dest
+
+
+def bench_once(tree, workload, seed, seconds):
+    """The JSON result and the machine facts of one perfbench run on `tree`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"perfbench failed on {tree}: {proc.stderr[-2000:]}")
+    machine = {}
+    for line in lines:
+        if line.startswith("machine: "):
+            machine = json.loads(line[len("machine: "):])
+    return json.loads(lines[-1]), machine
+
+
+def job_usage(tree, wl, seed, steps, work):
+    """Minor page faults and peak RSS (MB) of one prte CLI job on `tree`."""
+    cfg = os.path.join(work, f"{wl.name}-{steps}.ini")
+    with open(cfg, "w") as fh:
+        fh.write(config_text(wl, beam_for_seed(seed, wl.dimension), steps))
+    out = os.path.join(work, "out")
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prte.cli", wl.command, "--config", cfg, "--out", out],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    shutil.rmtree(out, ignore_errors=True)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"{wl.name} ({steps} steps) failed on {tree}")
+    return {"minflt": usage.ru_minflt, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def describe(xs):
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "min": min(xs), "max": max(xs),
+            "samples": xs}
+
+
+def compare(base, head, better):
+    """Summary of one metric over paired samples (None where a run had none)."""
+    pairs = [(b, h) for b, h in zip(base, head) if b is not None and h is not None]
+    if len(pairs) < 2:
+        return None
+    bs, hs = [b for b, _ in pairs], [h for _, h in pairs]
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (h - b) > 0 for b, h in pairs)
+    b, h = describe(bs), describe(hs)
+    gap = sign * (h["median"] - b["median"])
+    return {
+        "better": better,
+        "base": b,
+        "head": h,
+        "head_over_base": h["median"] / b["median"] if b["median"] else None,
+        "head_wins": f"{wins}/{len(pairs)}",
+        "median_gap": gap,
+        "base_iqr": b["q3"] - b["q1"],
+        "clearly_better": wins >= WIN_SHARE * len(pairs) and gap > b["q3"] - b["q1"],
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    parser.add_argument("--seeds", nargs="+", type=int, default=[0])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0,
+                        help="--seconds of each perfbench run")
+    args = parser.parse_args(argv)
+    metrics = end_to_end_metrics()
+    tmp = tempfile.mkdtemp(prefix="bench_pairs_")
+    try:
+        sides = {"base": unpack_base(args.base, tmp), "head": ROOT}
+        host, results, correct = {}, {}, True
+        for name in sorted(WORKLOADS):
+            for seed in args.seeds:
+                runs = {"base": [], "head": []}
+                for k in range(args.pairs):
+                    for tag in ("base", "head") if k % 2 == 0 else ("head", "base"):
+                        res, machine = bench_once(sides[tag], name, seed, args.seconds)
+                        host = host or machine
+                        correct = correct and res["correct"]
+                        runs[tag].append(res)
+                    print(f"{name} seed {seed}: pair {k + 1}/{args.pairs}", file=sys.stderr)
+                results.setdefault(name, {})[f"seed{seed}"] = {
+                    metric: compare(
+                        [r["metrics"][metric]["value"] for r in runs["base"]],
+                        [r["metrics"][metric]["value"] for r in runs["head"]],
+                        better,
+                    )
+                    for metric, better in metrics
+                }
+        usage = {}
+        for name, wl in sorted(WORKLOADS.items()):
+            usage[name] = {
+                tag: {
+                    "setup_job": job_usage(tree, wl, args.seeds[0], 1, tmp),
+                    "full_job": job_usage(tree, wl, args.seeds[0], wl.steps, tmp),
+                }
+                for tag, tree in sides.items()
+            }
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    report = {
+        "label": args.label,
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds "
+                   f"{args.seconds:g} --trace 0, run from the root of each side",
+        "base": args.base,
+        "head": head_commit(),
+        "order": "pair k runs both sides back to back: base first when k is even, "
+                 "head first when k is odd",
+        "pairs": args.pairs,
+        "host": {key: host.get(key) for key in
+                 ("cpus_available", "cpu_model", "python", "numpy", "scipy", "blas",
+                  "blas_threads")},
+        "every_job_correct": correct,
+        "results": results,
+        "job_usage": usage,
+    }
+    out = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(out, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
