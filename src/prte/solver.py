@@ -12,15 +12,15 @@ two backends:
     classical RK4 on the stereographic plane representation of the operator,
     with an empirical spectral-radius time-step bound, a two-thirds angular
     de-aliasing filter, and per-node exact mass restoration.  That substep
-    is linear and the same for every row, so for a fixed dt it is one
-    n_nodes x n_nodes matrix M, built once per dt by pushing the identity
-    through the RK4 code, and every batch is stepped as values @ M.  M holds
-    n_nodes**2 doubles and costs 2 n_nodes flops a value, against a few plane
-    FFTs for RK4, so the map serves planes of at most MAP_MAX_NODES = 4096
-    nodes (a d = 3 64^2 plane, 128 MiB), the largest measured; a larger
-    plane is stepped by the RK4 code itself.  The plane operator and H^s
-    seminorm are those of `apply_scatter_projected` and `hs_norm`, one
-    `scatter.PlaneOperator`.
+    is linear and the same for every row, so for the engine's dt it is one
+    n_nodes x n_nodes matrix M, built with the engine by pushing the
+    identity through the RK4 code, and every batch is stepped as
+    values @ M.  M holds n_nodes**2 doubles and costs 2 n_nodes flops a
+    value, against a few plane FFTs for RK4, so the map serves planes of at
+    most MAP_MAX_NODES = 4096 nodes (a d = 3 64^2 plane, 128 MiB), the
+    largest measured; a larger plane is stepped by the RK4 code itself.
+    The plane operator and H^s seminorm are those of
+    `apply_scatter_projected` and `hs_norm`, one `scatter.PlaneOperator`.
 
 Both backends are real-linear and the same at every x, so the whole step
 commutes with the spatial Fourier transform, and `run` marches in Fourier
@@ -36,22 +36,26 @@ batch of rows, each weighted by its Parseval weight where physical-space
 calls weight every row by the cell volume.  The per-step checks read the
 spectrum (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
 half-step and irfftn run only when a diagnostics row or a snapshot needs
-physical values.  `transport_step` and `strang_step_energy` are one-step
-wrappers over the same table and kernel.  A study that needs the state after
-every step subscribes to `run` through its `observe` argument instead of
-marching again.  Each `run`, and each one-step call, builds its own
-scattering engine, which lives as long as that call.
+physical values.  `transport_step` is a one-step wrapper over the same
+table, and `strang_step_energy` is the one observed step of a `run` to
+t = dt.  A study that needs the state after every step subscribes to `run`
+through its `observe` argument instead of marching again.
 
-Each engine owns one workspace (`_Workspace`): the batch of rows and the
-batch-sized arrays its substep needs, built on first use and kept for the
-engine's life, so a march allocates them once instead of every step.  Every
-batch-sized temporary of the substep goes through it by numpy's `out=` as
-the same FFT, BLAS or ufunc call on the same operands, so no number moves.
-The caller's arrays are never written: `scatter_l2` copies its input into
-the batch.  An emit's last half-step and the complex passes of its irfftn
-run in the batch's bytes too; the physical field is a new array whenever
-the observer or a snapshot may keep it, so `observe` always gets a fresh
-field.
+Each `run`, and each one-step call, builds its own scattering engine for
+its one dt, and the engine lives as long as that call.  Whatever depends on
+dt is computed when it is built: the spectral engine's per-mode factors and
+decay integrals, the projected engine's dt bound (a dt over it fails there,
+before the first step), its map M and its H^s form.  Each engine keeps a
+workspace (see `_Engine`): the batch of rows and the batch-sized arrays its
+substep needs, built on first use and kept for the engine's life, so a
+march allocates them once instead of every step.  Every batch-sized
+temporary of the substep goes through it by numpy's `out=` as the same FFT,
+BLAS or ufunc call on the same operands, so no number moves.  The caller's
+arrays are never written: `scatter_l2` and `scatter_spectrum` copy their
+input into the batch, once per substep.  An emit's last half-step and the
+complex passes of its irfftn run in the batch's bytes too; the physical
+field is a new array whenever the observer or a snapshot may keep it, so
+`observe` always gets a fresh field.
 
 Energy accounting: both time integrals entering the L2-vs-H^s energy
 inequality are accumulated inside the scattering substep (the transport
@@ -64,7 +68,7 @@ seminorm, and the residual is nonnegative but O(1): about 17% of the
 window's drop in ||u||^2 / 2 for a d = 2 beam on an L = 16, n = 128 plane.
 The plane misses the polar cap beyond L, so the discrete operator's
 dissipation is not D0 ||u||^2_Hs.  On mapped planes of at most
-FORM_MAX_NODES = 512 nodes the H^s trapezoid is one quadratic form per dt,
+FORM_MAX_NODES = 512 nodes the H^s trapezoid is one quadratic form,
 v (Q + M Q M^T) v^T with Q the plane seminorm's Gram matrix, built beside
 M.  Like M it costs 2 n_nodes flops a value; on one BLAS thread it beat the
 two plane FFT seminorms it replaces up to d = 2 n = 512 and lost at 1024
@@ -73,7 +77,7 @@ nodes, so every d = 3 plane (at least 1024 nodes) keeps the FFTs.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -268,8 +272,11 @@ class DiagnosticsRecord:
 
 
 def _to_spectrum(u):
-    """rfftn over the space axes; the angular nodes stay the last axis."""
-    return np.fft.rfftn(u.values, axes=tuple(range(u.spatial.d)))
+    """rfftn over the space axes; the angular nodes stay the last axis.  The
+    passes after the first run in place in the result."""
+    g = u.spatial
+    spec = np.empty(g.shape[:-1] + (g.m // 2 + 1, u.values.shape[-1]), complex)
+    return np.fft.rfftn(u.values, axes=tuple(range(g.d)), out=spec)
 
 
 def _to_values(spatial, spec, out=None):
@@ -329,22 +336,6 @@ def _parseval_weights(spatial):
     w = np.broadcast_to(g.cell_volume() / g.m**g.d * mult, g.shape[:-1] + mult.shape)
     # the real and the imaginary batch rows carry the same weights
     return np.tile(w.ravel(), 2)
-
-
-def _scatter_spectrum(eng, spec, dt, row_weight):
-    """
-    Scattering over dt on the spectrum, in place.  The engines are real-linear
-    and the same at every x, so they act on the real and imaginary parts as
-    one real batch of rows, filled in the engine's kept batch.  Returns the
-    substep's (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it.
-    """
-    rows = spec.size // spec.shape[-1]
-    out, dl2, dhs, l2sq = eng.scatter_l2(
-        eng.ws.load(spec.real, spec.imag), dt, row_weight
-    )
-    spec.real = out[:rows].reshape(spec.shape)
-    spec.imag = out[rows:].reshape(spec.shape)
-    return dl2, dhs, l2sq
 
 
 def transport_step(u, dt):
@@ -410,13 +401,15 @@ def _norm_sq(values, weights, row_weight, scratch):
     return float(_row_sum(row_weight, (sq @ weights)[..., None])[0])
 
 
-class _Workspace:
+class _Engine:
     """
-    The batch-sized arrays of one engine, kept from call to call, so that a
-    march allocates them once instead of every step.  Each named slot is a
-    byte buffer that grows to the largest request and is handed out as a
-    view of any shape and dtype, so an array whose contents are dead lends
-    its bytes to the next temporary.  The slots:
+    What both scattering engines share.  An engine is built for one dt and
+    steps by that dt only; whatever depends on dt is computed when it is
+    built.  It keeps the batch-sized arrays of its substep from call to call,
+    so that a march allocates them once instead of every step.  Each named
+    slot is a byte buffer that grows to the largest request and is handed
+    out as a view of any shape and dtype, so an array whose contents are dead
+    lends its bytes to the next temporary.  The slots:
 
     ``batch``  the real (rows, n) batch a substep scatters in place;
     ``out``    a second array at least the batch's size: the rfft bins
@@ -425,16 +418,19 @@ class _Workspace:
     ``coef``   harmonic coefficients (d=3 spectral) or plane half-spectra
                (projected, FFT route).
 
-    All are dead between steps, so the emit (`_Engine.field`, `_Engine.norms`)
-    builds each field and its norms in them.  The engine that owns the
-    workspace is its only user, and what the engine returns is valid until
-    its next call.
+    All are dead between steps, so an emit (`field`, `norms`) builds each
+    field and its norms in them.  What the engine returns is valid until its
+    next call.  Each engine has one substep, `_step(batch, row_weight)`: it
+    scatters the loaded (rows, n) batch, which it may overwrite, and returns
+    the new values, the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau,
+    and ||u||^2 after it.
     """
 
-    def __init__(self):
+    def __init__(self, dt):
+        self.dt = dt
         self._slots = {}
 
-    def take(self, name, shape, dtype=float):
+    def _take(self, name, shape, dtype=float):
         """Slot `name` as a C-ordered array of `shape`; contents undefined."""
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
@@ -443,14 +439,14 @@ class _Workspace:
             buf = self._slots[name] = np.empty(nbytes, np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
 
-    def load(self, *parts):
+    def _load(self, *parts):
         """
         The batch: the rows of `parts` (arrays of shape (..., n)) stacked in
         order in slot "batch", as an (rows, n) array.  The parts are copied
         and never written.
         """
         n = parts[0].shape[-1]
-        batch = self.take("batch", (sum(p.size for p in parts) // n, n))
+        batch = self._take("batch", (sum(p.size for p in parts) // n, n))
         start = 0
         for p in parts:
             rows = p.size // n
@@ -458,30 +454,37 @@ class _Workspace:
             start += rows
         return batch
 
+    def scatter_l2(self, values, row_weight):
+        """
+        Scattering over dt of the rows of values, an (..., n) array in
+        physical space: the new values, the substep's int ||u||^2 dtau and
+        int ||u||^2_{Hs} dtau, and ||u||^2 after it.  values is copied into
+        the batch and never written; the new values live in the workspace
+        until the engine's next call.
+        """
+        out, l2_int, hs_int, l2sq = self._step(self._load(values), row_weight)
+        return out.reshape(values.shape), l2_int, hs_int, l2sq
 
-def _decay_integral(lam, dt):
-    """int_0^dt e^{2 lam t} dt, stable at lam = 0."""
-    a = 2.0 * lam * dt
-    out = np.full_like(np.asarray(lam, dtype=float), dt)
-    nz = lam != 0.0
-    out[nz] = np.expm1(a[nz]) / (2.0 * lam[nz])
-    return out
-
-
-class _Engine:
-    """
-    What both scattering engines share: the workspace, and the emit's use of
-    its bytes, which are all dead between steps.
-    """
-
-    def __init__(self):
-        self.ws = _Workspace()
+    def scatter_spectrum(self, spec, row_weight):
+        """
+        Scattering over dt on the spectrum, in place.  The engines are
+        real-linear and the same at every x, so they act on the real and
+        imaginary parts as one real batch of rows.  Returns the substep's
+        (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it.
+        """
+        rows = spec.size // spec.shape[-1]
+        out, l2_int, hs_int, l2sq = self._step(
+            self._load(spec.real, spec.imag), row_weight
+        )
+        spec.real = out[:rows].reshape(spec.shape)
+        spec.imag = out[rows:].reshape(spec.shape)
+        return l2_int, hs_int, l2sq
 
     def start(self, spec):
         """Take the batch at the size of the run's spectrum, which every
         substep's batch and every emit's temporaries fit in, so that a run
         allocates it once."""
-        self.ws.take("batch", spec.shape, complex)
+        self._take("batch", spec.shape, complex)
 
     def field(self, spatial, spec, half, keep):
         """
@@ -490,21 +493,25 @@ class _Engine:
         bytes.  The field is a new array when `keep`, and else lives in the
         "out" slot until the engine's next call; spec is never written.
         """
-        prod = np.multiply(spec, half, out=self.ws.take("batch", spec.shape, complex))
+        prod = np.multiply(spec, half, out=self._take("batch", spec.shape, complex))
         shape = spatial.shape + spec.shape[-1:]
-        return _to_values(spatial, prod, None if keep else self.ws.take("out", shape))
+        return _to_values(spatial, prod, None if keep else self._take("out", shape))
 
     def norms(self, u):
         """(||u||, max |u|) of a field, with the squares in the batch's bytes."""
-        scratch = self.ws.take("batch", u.values.shape)
+        scratch = self._take("batch", u.values.shape)
         return u.l2(scratch), u.linf(scratch)
 
 
 class _SpectralEngine(_Engine):
-    """Exact exponential integrator in the angular eigenbasis."""
+    """
+    Exact exponential integrator in the angular eigenbasis.  The d = 2 engine
+    is diagonal on every resolvable circular bin, so its lmax is
+    angles // 2 whatever the config's lmax says.
+    """
 
-    def __init__(self, kernel, angular, lmax):
-        super().__init__()
+    def __init__(self, kernel, angular, lmax, dt):
+        super().__init__(dt)
         if not isinstance(angular, SphereQuadrature):
             raise ParameterOutOfRange(
                 "sphere-spectral backend needs SphereQuadrature angular nodes"
@@ -513,15 +520,11 @@ class _SpectralEngine(_Engine):
         self.angular = angular
         self.d = kernel.base.d
         m = len(angular.weights)
-        if self.d == 2:
-            # diagonal on every resolvable circular bin
-            self.lmax = m // 2
-        else:
-            self.lmax = min(lmax, angular.lmax_cap())
+        self.lmax = m // 2 if self.d == 2 else min(lmax, angular.lmax_cap())
         if _null_kernel(kernel):
-            self.lambdas = np.zeros(self.lmax + 1)
+            lam = np.zeros(self.lmax + 1)
         else:
-            self.lambdas = funk_hecke_eigs(kernel, self.lmax).lambdas
+            lam = funk_hecke_eigs(kernel, self.lmax).lambdas
         self.D0, self.D1, with_b1 = _energy_constants(kernel)
         self.sigma = _sigma_table(kernel, self.lmax, with_b1)
         if self.d == 3:
@@ -529,15 +532,23 @@ class _SpectralEngine(_Engine):
             self.basis = basis
             self.proj = angular.weights[:, None] * basis
             self.degrees = mode_degrees(3, self.lmax)
+            # the substep adds (coefficients * factor) @ basis^T to the values
+            self.factor = np.expm1(lam[self.degrees] * dt)
+        else:
+            self.factor = np.exp(lam * dt)
+        # int_0^dt e^{2 lam t} dt per degree, stable at lam = 0
+        self.decay = np.full_like(lam, dt)
+        nz = lam != 0.0
+        self.decay[nz] = np.expm1(2.0 * lam[nz] * dt) / (2.0 * lam[nz])
 
     def _spectrum(self, flat):
         """Angular transform into the workspace: rfft bins (d=2) or harmonic
         coefficients (d=3) of the (rows, n) array flat."""
         if self.d == 2:
             shape = (flat.shape[0], flat.shape[1] // 2 + 1)
-            return np.fft.rfft(flat, axis=-1, out=self.ws.take("out", shape, complex))
+            return np.fft.rfft(flat, axis=-1, out=self._take("out", shape, complex))
         shape = (flat.shape[0], self.proj.shape[1])
-        return np.matmul(flat, self.proj, out=self.ws.take("coef", shape))
+        return np.matmul(flat, self.proj, out=self._take("coef", shape))
 
     def _masses(self, spec, flat, row_weight):
         """
@@ -548,14 +559,14 @@ class _SpectralEngine(_Engine):
         if self.d == 2:
             m = flat.shape[-1]
             # Parseval mode masses over the angular rfft bins
-            power = np.abs(spec, out=self.ws.take("batch", spec.shape))
+            power = np.abs(spec, out=self._take("batch", spec.shape))
             power = _row_sum(row_weight, np.square(power, out=power))
             return (2.0 * np.pi / m**2) * half_multiplicity(m) * power, 0.0
-        sq = np.square(spec, out=self.ws.take("out", spec.shape))
+        sq = np.square(spec, out=self._take("out", spec.shape))
         per_mode = _row_sum(row_weight, sq)
         resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
         total = _norm_sq(
-            flat, self.angular.weights, row_weight, self.ws.take("out", flat.shape)
+            flat, self.angular.weights, row_weight, self._take("out", flat.shape)
         )
         return resolved, max(total - float(resolved.sum()), 0.0)
 
@@ -567,34 +578,32 @@ class _SpectralEngine(_Engine):
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
-    def scatter_l2(self, values, dt, row_weight):
-        lam = self.lambdas
-        flat = self.ws.load(values)
+    def _step(self, flat, row_weight):
         spec = self._spectrum(flat)
         resolved, unresolved = self._masses(spec, flat, row_weight)
+        np.multiply(spec, self.factor, out=spec)
         if self.d == 2:
-            np.multiply(spec, np.exp(lam * dt), out=spec)
             out = np.fft.irfft(spec, n=flat.shape[-1], axis=-1, out=flat)
             # the bins are consumed: the squares take their bytes
-            scratch = self.ws.take("out", out.shape)
+            scratch = self._take("out", out.shape)
         else:
-            np.multiply(spec, np.expm1(lam[self.degrees] * dt), out=spec)
-            scratch = np.matmul(spec, self.basis.T, out=self.ws.take("out", flat.shape))
+            scratch = np.matmul(spec, self.basis.T, out=self._take("out", flat.shape))
             out = np.add(flat, scratch, out=flat)
-        g = _decay_integral(lam, dt)
-        l2_int = float(np.sum(resolved * g)) + unresolved * dt
-        hs_int = float(np.sum(self.sigma * resolved * g))
+        l2_int = float(np.sum(resolved * self.decay)) + unresolved * self.dt
+        hs_int = float(np.sum(self.sigma * resolved * self.decay))
         l2sq = _norm_sq(out, self.angular.weights, row_weight, scratch)
-        return out.reshape(values.shape), l2_int, hs_int, l2sq
+        return out, l2_int, hs_int, l2sq
 
 
 class _ProjectedEngine(_Engine):
     """
-    RK4 on the stereographic plane form with de-aliasing and mass repair.
-    The substep is linear and the same for every row, so on planes of at
-    most MAP_MAX_NODES nodes it is one precomputed n_nodes x n_nodes map per
-    dt, and on planes of at most FORM_MAX_NODES nodes its H^s integral is
-    one precomputed quadratic form per dt.
+    RK4 on the stereographic plane form with de-aliasing and mass repair,
+    for a dt within the power-iteration bound `dt_bound`.  The substep is
+    linear and the same for every row, so on planes of at most MAP_MAX_NODES
+    nodes it is one n_nodes x n_nodes map M, and on planes of at most
+    FORM_MAX_NODES nodes its H^s integral is one quadratic form, `form`;
+    both are built with the engine, and are None where the plane is over
+    their limit.
     """
 
     #: RK4 real-axis stability interval is |lam| dt <= 2.785; keep margin
@@ -612,7 +621,7 @@ class _ProjectedEngine(_Engine):
     #: d = 3 32^2 plane
     FORM_MAX_NODES = 512
 
-    def __init__(self, kernel, angular, lmax):
+    def __init__(self, kernel, angular, lmax, dt):
         if not isinstance(angular, ProjectedAngularGrid):
             raise ParameterOutOfRange(
                 "projected-plane backend needs ProjectedAngularGrid angular nodes"
@@ -621,7 +630,7 @@ class _ProjectedEngine(_Engine):
             raise ParameterOutOfRange(
                 "projected-plane backend integrates the limiting kernel only"
             )
-        super().__init__()
+        super().__init__(dt)
         self.kernel = kernel
         self.angular = angular
         grid = angular.plane
@@ -651,10 +660,24 @@ class _ProjectedEngine(_Engine):
             shape[a] = grid.n
             mask = mask & keep.reshape(shape)
         self.filter_mask = mask
+        n = len(angular.weights)
         self.wsum = float(angular.weights.sum())
-        self._bound = None
-        self._maps = {}
-        self._forms = {}
+        # dt bound from a deterministic power-iteration radius estimate
+        v = np.random.default_rng(1234).standard_normal(n)
+        rho = 1.0
+        for _ in range(60):
+            av = self.apply(v)
+            rho = float(np.linalg.norm(av) / np.linalg.norm(v))
+            v = av / np.linalg.norm(av)
+        self.dt_bound = self.RK4_REACH / rho
+        if dt > self.dt_bound:
+            raise StabilityViolation(
+                f"dt={dt} exceeds projected-backend bound {self.dt_bound:.3e}"
+            )
+        self.M = self._substep_map() if n <= self.MAP_MAX_NODES else None
+        self.form = None
+        if self.M is not None and n <= self.FORM_MAX_NODES:
+            self.form = self._hs_form(self.M)
 
     def apply(self, flat):
         """Operator on (..., n_nodes) value arrays."""
@@ -664,22 +687,10 @@ class _ProjectedEngine(_Engine):
             out = out + flat @ self.hmat.T - self.hrow * flat
         return out
 
-    def stability_bound(self):
-        """dt bound from a deterministic power-iteration radius estimate."""
-        if self._bound is None:
-            rng = np.random.default_rng(1234)
-            v = rng.standard_normal(len(self.angular.weights))
-            rho = 1.0
-            for _ in range(60):
-                av = self.apply(v)
-                rho = float(np.linalg.norm(av) / np.linalg.norm(v))
-                v = av / np.linalg.norm(av)
-            self._bound = self.RK4_REACH / rho
-        return self._bound
-
-    def _substep(self, values, dt):
+    def _substep(self, values):
         """RK4 over dt, the two-thirds plane filter and the mass repair: a
         linear map of each row, the same for every row."""
+        dt = self.dt
         w = self.angular.weights
         pre_mass = values @ w
         k1 = self.apply(values)
@@ -696,23 +707,14 @@ class _ProjectedEngine(_Engine):
         out += ((pre_mass - out @ w) / self.wsum)[..., None]
         return out
 
-    def substep_map(self, dt):
-        """
-        `_substep` over dt as the matrix M with _substep(v) = v @ M: the
-        identity pushed through it once per dt, and kept per dt for the rest
-        of the engine's life.  On planes of at most FORM_MAX_NODES nodes the
-        same build keeps the substep's H^s form beside M (see `_hs_form`).
-        """
-        M = self._maps.get(dt)
-        if M is None:
-            n = len(self.angular.weights)
-            M = np.empty((n, n))
-            for i in range(0, n, self.MAP_BUILD_ROWS):
-                rows = min(self.MAP_BUILD_ROWS, n - i)
-                M[i : i + rows] = self._substep(np.eye(rows, n, k=i), dt)
-            self._maps[dt] = M
-            if n <= self.FORM_MAX_NODES:
-                self._forms[dt] = self._hs_form(M)
+    def _substep_map(self):
+        """`_substep` as the matrix M with _substep(v) = v @ M: the identity
+        pushed through it, MAP_BUILD_ROWS rows at a time."""
+        n = len(self.angular.weights)
+        M = np.empty((n, n))
+        for i in range(0, n, self.MAP_BUILD_ROWS):
+            rows = min(self.MAP_BUILD_ROWS, n - i)
+            M[i : i + rows] = self._substep(np.eye(rows, n, k=i))
         return M
 
     def _hs_form(self, M):
@@ -729,40 +731,32 @@ class _ProjectedEngine(_Engine):
         Q = F.real @ F.real.T + F.imag @ F.imag.T
         return Q + M @ Q @ M.T
 
-    def scatter_l2(self, values, dt, row_weight):
-        if dt > self.stability_bound():
-            raise StabilityViolation(
-                f"dt={dt} exceeds projected-backend bound {self.stability_bound():.3e}"
-            )
+    def _step(self, flat, row_weight):
         w = self.angular.weights
-        n = len(w)
-        flat = self.ws.load(values)
         # the output's bytes serve as scratch until the step writes them
-        out = self.ws.take("out", flat.shape)
+        out = self._take("out", flat.shape)
         pre_l2 = _norm_sq(flat, w, row_weight, out)
-        M = self.substep_map(dt) if n <= self.MAP_MAX_NODES else None
-        form = None if M is None else self._forms.get(dt)
-        if form is None:
+        if self.form is None:
             hs_ends = self._hs_total(flat, row_weight, out)
         else:
             # both ends of the trapezoid, from the pre-step values
-            per_row = np.einsum("ij,ij->i", np.matmul(flat, form, out=out), flat)
+            per_row = np.einsum("ij,ij->i", np.matmul(flat, self.form, out=out), flat)
             hs_ends = float(_row_sum(row_weight, per_row[:, None])[0])
-        if M is None:
-            out = self._substep(flat, dt)
+        if self.M is None:
+            out = self._substep(flat)
         else:
-            np.matmul(flat, M, out=out)
+            np.matmul(flat, self.M, out=out)
         # the input batch is consumed: the squares take its bytes
         post_l2 = _norm_sq(out, w, row_weight, flat)
         if post_l2 > pre_l2 * (1.0 + GROWTH_TOL):
             raise StabilityViolation(
                 f"projected scattering grew L2 by {post_l2 / pre_l2 - 1.0:.3e}"
             )
-        if form is None:
+        if self.form is None:
             hs_ends += self._hs_total(out, row_weight, flat)
-        l2_int = 0.5 * dt * (pre_l2 + post_l2)
-        hs_int = 0.5 * dt * hs_ends
-        return out.reshape(values.shape), l2_int, hs_int, post_l2
+        l2_int = 0.5 * self.dt * (pre_l2 + post_l2)
+        hs_int = 0.5 * self.dt * hs_ends
+        return out, l2_int, hs_int, post_l2
 
     def _hs_total(self, values, row_weight, scratch):
         """
@@ -773,32 +767,28 @@ class _ProjectedEngine(_Engine):
         f = values.reshape(values.shape[:-1] + self.pshape)
         half = f.shape[:-1] + (f.shape[-1] // 2 + 1,)
         per_x = self.plane.seminorm_sq(
-            f, scratch.reshape(f.shape), self.ws.take("coef", half, complex)
+            f, scratch.reshape(f.shape), self._take("coef", half, complex)
         )
         return float(_row_sum(row_weight, per_x.reshape(-1, 1))[0])
 
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
         flat = values.reshape(-1, values.shape[-1])
-        scratch = self.ws.take("out", flat.shape)
+        scratch = self._take("out", flat.shape)
         l2sq = _norm_sq(flat, self.angular.weights, row_weight, scratch)
         return l2sq, self._hs_total(flat, row_weight, scratch)
 
 
 def _engine_for(cfg, u):
-    """A new scattering engine for cfg on u's angular grid.  Its
-    `scatter_l2(values, dt, row_weight)` returns the new values, the substep's
-    int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and ||u||^2 after it.  It
-    copies values into its workspace batch and never writes them; the new
-    values live in the workspace until the engine's next call."""
+    """A new scattering engine for cfg.dt on u's angular grid (see `_Engine`)."""
     cls = _SpectralEngine if cfg.backend == "sphere-spectral" else _ProjectedEngine
-    return cls(cfg.kernel, u.angular, cfg.lmax)
+    return cls(cfg.kernel, u.angular, cfg.lmax, cfg.dt)
 
 
 def scattering_step(u, dt, cfg):
     """Angular relaxation over dt; spatial nodes never couple."""
-    eng = _engine_for(cfg, u)
-    out = eng.scatter_l2(u.values, dt, u.spatial.cell_volume())[0]
+    eng = _engine_for(replace(cfg, dt=dt, t_end=dt), u)
+    out = eng.scatter_l2(u.values, u.spatial.cell_volume())[0]
     return PhaseField(u.spatial, u.angular, out, u.time)
 
 
@@ -807,16 +797,13 @@ def strang_step_energy(u, dt, cfg):
     transport(dt/2), scattering(dt), transport(dt/2), plus the scattering
     substep's time integrals (int ||u||^2 dtau, int ||u||^2_{Hs} dtau).
     Transport is unitary, so these are the whole step's integrals too.  This
-    is one step of `run`'s kernel, from physical values to physical values.
+    is the one step of a `run` to t = dt, as its observer sees it, so u must
+    be nonnegative and the step passes the run's checks.
     """
-    eng = _engine_for(cfg, u)
-    half = _transport_table(u.spatial, u.angular, 0.5 * dt)
-    spec = _to_spectrum(u)
-    spec *= half
-    dl2, dhs, _ = _scatter_spectrum(eng, spec, dt, _parseval_weights(u.spatial))
-    spec *= half
-    out = _to_values(u.spatial, spec)
-    return PhaseField(u.spatial, u.angular, out, u.time + 0.5 * dt + 0.5 * dt), dl2, dhs
+    seen = []
+    one = replace(cfg, dt=dt, t_end=dt, snapshot_every=0)
+    run(one, u, lambda v, dl2, dhs, _: seen.append((v, dl2, dhs)))
+    return seen[-1]
 
 
 def strang_step(u, dt, cfg):
@@ -885,8 +872,8 @@ def run(cfg, u0, observe=None):
         observe(u0, 0.0, 0.0, functionals)
     for step in range(1, n_steps + 1):
         spec *= half if step == 1 else fused
-        dl2, dhs, l2sq = _scatter_spectrum(eng, spec, cfg.dt, row_weight)
-        # two half-steps, added in order: the same clock as strang_step_energy
+        dl2, dhs, l2sq = eng.scatter_spectrum(spec, row_weight)
+        # two half-steps, added in order
         time = time + 0.5 * cfg.dt + 0.5 * cfg.dt
         win_l2 += dl2
         win_hs += dhs

@@ -29,7 +29,6 @@ from prte.solver import (
     SpatialGrid,
     _engine_for,
     _parseval_weights,
-    _scatter_spectrum,
     _to_spectrum,
     energy_functionals,
     run,
@@ -64,7 +63,7 @@ def oracle_transport(u, dt):
 def oracle_step(u, dt, eng):
     """transport(dt/2), scattering(dt), transport(dt/2) on physical values."""
     half = oracle_transport(u, 0.5 * dt)
-    mid, dl2, dhs, _ = eng.scatter_l2(half.values, dt, u.spatial.cell_volume())
+    mid, dl2, dhs, _ = eng.scatter_l2(half.values, u.spatial.cell_volume())
     out = oracle_transport(PhaseField(u.spatial, u.angular, mid, half.time), 0.5 * dt)
     return out, dl2, dhs
 
@@ -230,17 +229,36 @@ def test_scatter_substep_allocates_no_batch(name):
     eng = _engine_for(cfg, u)
     spec = _to_spectrum(u)
     row_weight = _parseval_weights(grid)
-    _scatter_spectrum(eng, spec, cfg.dt, row_weight)
+    eng.scatter_spectrum(spec, row_weight)
     batch_bytes = 2 * (spec.size // spec.shape[-1]) * spec.shape[-1] * 8
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _scatter_spectrum(eng, spec, cfg.dt, row_weight)
+        eng.scatter_spectrum(spec, row_weight)
         extra = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert extra < batch_bytes / 8, f"{extra} bytes against a {batch_bytes}-byte batch"
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_to_spectrum_allocates_only_its_result(name):
+    """rfftn's passes after the first run in place in the result, so taking
+    the spectrum peaks at the result's bytes, not twice them."""
+    cfg, _, grid, angular = _case(name)
+    grid = SpatialGrid(grid.d, grid.X, ALLOC_CELLS[name])
+    u = random_field(grid, angular, seed=23)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        spec = _to_spectrum(u)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * spec.nbytes, f"{peak} bytes for a {spec.nbytes}-byte spectrum"
+    assert spec.tobytes() == np.fft.rfftn(u.values, axes=tuple(range(grid.d))).tobytes()
 
 
 def test_input_memory_order_does_not_matter():

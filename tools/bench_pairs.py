@@ -15,7 +15,8 @@ one session on one machine, which is why both sides run here side by side.
 Besides the timed runs, each side runs one set-up job (one step) and one
 full job of every workload at the first seed as a plain `python3 -m
 prte.cli` child, and `os.wait4` records its minor page faults (`ru_minflt`)
-and peak RSS.
+and peak RSS.  The two sides' full jobs of a workload must write the same
+files with the same bytes; `outputs_identical` records whether they did.
 
 The result goes to `BENCH_<label>.json` in this checkout's root: per workload, seed and end-to-end metric, each side's samples,
 median, quartiles and range, the head/base ratio of the medians, the head's
@@ -24,6 +25,7 @@ in 10 and the medians differ by more than the base's interquartile range.
 """
 
 import argparse
+import filecmp
 import json
 import os
 import shutil
@@ -88,12 +90,12 @@ def bench_once(tree, workload, seed, seconds):
     return json.loads(lines[-1]), machine
 
 
-def job_usage(tree, wl, seed, steps, work):
-    """Minor page faults and peak RSS (MB) of one prte CLI job on `tree`."""
-    cfg = os.path.join(work, f"{wl.name}-{steps}.ini")
+def job_usage(tree, wl, seed, steps, out):
+    """Minor page faults and peak RSS (MB) of one prte CLI job on `tree`,
+    which writes its outputs to the directory `out`."""
+    cfg = out + ".ini"
     with open(cfg, "w") as fh:
         fh.write(config_text(wl, beam_for_seed(seed, wl.dimension), steps))
-    out = os.path.join(work, "out")
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -102,10 +104,18 @@ def job_usage(tree, wl, seed, steps, work):
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     _, status, usage = os.wait4(proc.pid, 0)
-    shutil.rmtree(out, ignore_errors=True)
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"{wl.name} ({steps} steps) failed on {tree}")
     return {"minflt": usage.ru_minflt, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def same_outputs(a, b):
+    """Whether directories a and b hold the same files, byte for byte."""
+    names = sorted(os.listdir(a))
+    return names == sorted(os.listdir(b)) and all(
+        filecmp.cmp(os.path.join(a, n), os.path.join(b, n), shallow=False)
+        for n in names
+    )
 
 
 def describe(xs):
@@ -168,15 +178,21 @@ def main(argv=None):
                     )
                     for metric, better in metrics
                 }
-        usage = {}
+        usage, identical = {}, {}
         for name, wl in sorted(WORKLOADS.items()):
+            out = {tag: os.path.join(tmp, f"{tag}-{name}") for tag in sides}
+            seed = args.seeds[0]
             usage[name] = {
                 tag: {
-                    "setup_job": job_usage(tree, wl, args.seeds[0], 1, tmp),
-                    "full_job": job_usage(tree, wl, args.seeds[0], wl.steps, tmp),
+                    "setup_job": job_usage(tree, wl, seed, 1, out[tag] + "-setup"),
+                    "full_job": job_usage(tree, wl, seed, wl.steps, out[tag]),
                 }
                 for tag, tree in sides.items()
             }
+            identical[name] = same_outputs(out["base"], out["head"])
+            for path in out.values():
+                shutil.rmtree(path, ignore_errors=True)
+                shutil.rmtree(path + "-setup", ignore_errors=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     report = {
@@ -194,6 +210,7 @@ def main(argv=None):
         "every_job_correct": correct,
         "results": results,
         "job_usage": usage,
+        "outputs_identical": identical,
     }
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
