@@ -419,10 +419,25 @@ def operator_rate_study(psi, s, g_ladder, threads=1):
 # level-set energies
 
 
-def _truncate(values, lam):
-    """(u - lambda)_+ in one new array."""
-    t = values - lam
-    return np.maximum(t, 0.0, out=t)
+def _truncated_functionals(values, lambdas, functionals):
+    """
+    functionals((u - lambda)_+) for each lambda > 0, evaluated on only the
+    angular rows whose maximum exceeds lambda: every other row of the
+    truncation is zero and adds nothing to either functional.  One row-max
+    pass serves the whole ladder, and a level no row exceeds gives (0, 0).
+    """
+    rows = values.reshape(-1, values.shape[-1])
+    row_max = rows.max(axis=1)
+    out = []
+    for lam in lambdas:
+        # boolean indexing copies the selected rows, which are then truncated
+        above = rows[row_max > lam]
+        if len(above) == 0:
+            out.append((0.0, 0.0))
+            continue
+        above -= lam
+        out.append(functionals(np.maximum(above, 0.0, out=above)))
+    return out
 
 
 def level_set_energy_check(cfg, u0, lambdas):
@@ -437,7 +452,9 @@ def level_set_energy_check(cfg, u0, lambdas):
     observes one `run` step by step.  lambda = 0 accumulates the per-step
     closed forms the marcher reports (so it must reproduce the marcher's own
     residual stream exactly); positive lambdas use endpoint-trapezoid time
-    quadrature of the truncated functionals.
+    quadrature of the truncated functionals, which at each step are taken
+    on only the angular rows whose maximum exceeds lambda (the truncation
+    is zero on every other row, see `_truncated_functionals`).
     """
     lambdas = tuple(float(l) for l in lambdas)
     if len(lambdas) < 3:
@@ -461,17 +478,16 @@ def level_set_energy_check(cfg, u0, lambdas):
     def observe(u, dl2, dhs, functionals):
         nonlocal step, l2_emit0, win_l20, win_hs0
         step += 1
+        truncated = _truncated_functionals(u.values, positives, functionals)
         if step == 0:
             l2_emit0 = u.l2() ** 2
-            for lam in positives:
-                f = functionals(_truncate(u.values, lam))
+            for lam, f in zip(positives, truncated):
                 state[lam] = {"prev": f, "emit": f[0], "win_l2": 0.0, "win_hs": 0.0}
             return
         win_l20 += dl2
         win_hs0 += dhs
-        for lam in positives:
+        for lam, f in zip(positives, truncated):
             st = state[lam]
-            f = functionals(_truncate(u.values, lam))
             st["win_l2"] += 0.5 * cfg.dt * (st["prev"][0] + f[0])
             st["win_hs"] += 0.5 * cfg.dt * (st["prev"][1] + f[1])
             st["prev"] = f

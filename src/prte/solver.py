@@ -196,7 +196,9 @@ class PhaseField:
             raise ParameterOutOfRange(
                 f"values shape {self.values.shape} != spatial x angular {expected}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # NaN propagates through min and max, so both are finite exactly when
+        # every value is; neither allocates a field-sized array
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise InvariantViolation("phase field contains non-finite values")
 
     def copy(self):
@@ -391,7 +393,12 @@ def _row_sum(row_weight, a):
     physical space, the Parseval weights for the spectrum's real batch.
     """
     a = a.reshape(-1, a.shape[-1])
-    return np.broadcast_to(np.ravel(row_weight), a.shape[:1]) @ a
+    w = np.ravel(row_weight)
+    if w.size == 1:
+        # as a contiguous vector: matmul runs a stride-0 operand through its
+        # own loop instead of BLAS, over 10x slower on (4096, 256) rows
+        w = np.full(a.shape[0], w[0])
+    return w @ a
 
 
 def _norm_sq(values, weights, row_weight, scratch):
@@ -423,7 +430,8 @@ class _Engine:
     next call.  Each engine has one substep, `_step(batch, row_weight)`: it
     scatters the loaded (rows, n) batch, which it may overwrite, and returns
     the new values, the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau,
-    and ||u||^2 after it.
+    and ||u||^2 after it.  An engine built with dt = None has no substep and
+    serves `functionals` only.
     """
 
     def __init__(self, dt):
@@ -521,10 +529,6 @@ class _SpectralEngine(_Engine):
         self.d = kernel.base.d
         m = len(angular.weights)
         self.lmax = m // 2 if self.d == 2 else min(lmax, angular.lmax_cap())
-        if _null_kernel(kernel):
-            lam = np.zeros(self.lmax + 1)
-        else:
-            lam = funk_hecke_eigs(kernel, self.lmax).lambdas
         self.D0, self.D1, with_b1 = _energy_constants(kernel)
         self.sigma = _sigma_table(kernel, self.lmax, with_b1)
         if self.d == 3:
@@ -532,6 +536,13 @@ class _SpectralEngine(_Engine):
             self.basis = basis
             self.proj = angular.weights[:, None] * basis
             self.degrees = mode_degrees(3, self.lmax)
+        if dt is None:
+            return
+        if _null_kernel(kernel):
+            lam = np.zeros(self.lmax + 1)
+        else:
+            lam = funk_hecke_eigs(kernel, self.lmax).lambdas
+        if self.d == 3:
             # the substep adds (coefficients * factor) @ basis^T to the values
             self.factor = np.expm1(lam[self.degrees] * dt)
         else:
@@ -662,6 +673,8 @@ class _ProjectedEngine(_Engine):
         self.filter_mask = mask
         n = len(angular.weights)
         self.wsum = float(angular.weights.sum())
+        if dt is None:
+            return
         # dt bound from a deterministic power-iteration radius estimate
         v = np.random.default_rng(1234).standard_normal(n)
         rho = 1.0
@@ -779,10 +792,11 @@ class _ProjectedEngine(_Engine):
         return l2sq, self._hs_total(flat, row_weight, scratch)
 
 
-def _engine_for(cfg, u):
-    """A new scattering engine for cfg.dt on u's angular grid (see `_Engine`)."""
+def _engine_for(cfg, u, stepping=True):
+    """A new scattering engine on u's angular grid for cfg.dt (see `_Engine`),
+    or, without `stepping`, one that serves `functionals` only."""
     cls = _SpectralEngine if cfg.backend == "sphere-spectral" else _ProjectedEngine
-    return cls(cfg.kernel, u.angular, cfg.lmax, cfg.dt)
+    return cls(cfg.kernel, u.angular, cfg.lmax, cfg.dt if stepping else None)
 
 
 def scattering_step(u, dt, cfg):
@@ -813,8 +827,9 @@ def strang_step(u, dt, cfg):
 
 
 def energy_functionals(u, cfg):
-    """Instantaneous (||u||^2, ||u||^2_{Hs}) as the marcher accounts them."""
-    eng = _engine_for(cfg, u)
+    """Instantaneous (||u||^2, ||u||^2_{Hs}) as the marcher accounts them.
+    The engine has no substep: no dt bound, map or form is built."""
+    eng = _engine_for(cfg, u, stepping=False)
     return eng.functionals(u.values, u.spatial.cell_volume())
 
 

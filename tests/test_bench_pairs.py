@@ -1,0 +1,82 @@
+"""`tools/bench_pairs.py`: how far two sides' output directories are apart."""
+
+import importlib.util
+import math
+import os
+import struct
+
+import numpy as np
+import pytest
+
+from prte.solver import SNAPSHOT_HEADER_BYTES
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_outputs(path, l2, residual, payload, note="ok"):
+    """A tiny output directory: a diagnostics CSV, one snapshot, a text file."""
+    os.makedirs(path)
+    with open(os.path.join(path, "diagnostics.csv"), "w") as fh:
+        fh.write("time,l2,energy_residual,label\n")
+        for t, (a, r) in enumerate(zip(l2, residual)):
+            fh.write(f"{t!r},{a!r},{r!r},row{t}\n")
+    with open(os.path.join(path, "snapshot_0000.bin"), "wb") as fh:
+        fh.write(b"PRTE" + struct.pack("<IIIId", 1, 2, 2, 1, 0.5))
+        fh.write(np.asarray(payload, "<f8").tobytes())
+    with open(os.path.join(path, "report.txt"), "w") as fh:
+        fh.write(note + "\n")
+    return path
+
+
+def test_header_size_matches_the_solver(bench_pairs):
+    assert bench_pairs.SNAPSHOT_HEADER_BYTES == SNAPSHOT_HEADER_BYTES
+
+
+def test_identical_outputs_have_no_deviation(bench_pairs, tmp_path):
+    args = ([1.0, 0.5], [0.0, 1e-15], [1.0, 2.0, 3.0, 4.0])
+    base = write_outputs(str(tmp_path / "base"), *args)
+    head = write_outputs(str(tmp_path / "head"), *args, note="text is not read")
+    assert bench_pairs.output_deviation(base, head) == {"max": 0.0, "at": None, "parts": {}}
+
+
+def test_deviation_per_column_and_payload(bench_pairs, tmp_path):
+    base = write_outputs(
+        str(tmp_path / "base"), [1.0, 0.5], [0.0, 1e-15], [1.0, -4.0, 3.0, 2.0]
+    )
+    head = write_outputs(
+        str(tmp_path / "head"), [1.0, 0.5 + 2e-16], [0.0, 3e-15], [1.0, -4.0, 3.0 + 4e-15, 2.0]
+    )
+    dev = bench_pairs.output_deviation(base, head)
+    parts = dev["parts"]
+    assert set(parts) == {
+        "diagnostics.csv:l2", "diagnostics.csv:energy_residual", "snapshot_0000.bin"
+    }
+    assert parts["diagnostics.csv:l2"] == pytest.approx((0.5 + 2e-16 - 0.5) / 1.0)
+    # a column of roundoff moves by about its own size
+    assert parts["diagnostics.csv:energy_residual"] == pytest.approx(2.0)
+    assert parts["snapshot_0000.bin"] == pytest.approx((3.0 + 4e-15 - 3.0) / 4.0)
+    assert dev["at"] == "diagnostics.csv:energy_residual"
+    assert dev["max"] == parts["diagnostics.csv:energy_residual"]
+
+
+def test_structural_differences_are_infinite(bench_pairs, tmp_path):
+    base = write_outputs(str(tmp_path / "base"), [1.0, 0.5], [0.0, 0.0], [1.0, 2.0])
+    head = write_outputs(str(tmp_path / "head"), [1.0, math.nan], [0.0, 0.0], [1.0, 2.0, 3.0])
+    with open(os.path.join(head, "extra.csv"), "w") as fh:
+        fh.write("a\n1\n")
+    parts = bench_pairs.output_deviation(base, head)["parts"]
+    assert parts == {
+        "diagnostics.csv:l2": math.inf,
+        "snapshot_0000.bin": math.inf,
+        "extra.csv": math.inf,
+    }

@@ -25,16 +25,19 @@ from prte.experiments import (
     rho,
     rho_regularity_study,
     write_report,
+    _truncated_functionals,
 )
 from prte.fracop import PlaneField, PlaneGrid
 from prte.kernels import HGSpec, KernelSpec
 from prte.scatter import sphere_quadrature
 from prte.solver import (
     PhaseField,
+    ProjectedAngularGrid,
     SolverConfig,
     SpatialGrid,
     _SpectralEngine,
     make_initial,
+    run,
 )
 
 SPEC2 = KernelSpec(d=2, s=0.25, b1=1.0)
@@ -315,9 +318,63 @@ class TestLevelSet:
             with pytest.raises(ParameterOutOfRange):
                 level_set_energy_check(self.cfg(), beam2, bad)
 
+    def test_report_values_pinned(self, beam2):
+        """The worst scaled residuals of the beam run, as the check gave them
+        when it truncated every angular row and the d = 2 substep stepped a
+        real batch.  The lambda = 0 entry is roundoff of a residual already
+        scaled by ||u||^2, so it is pinned absolutely."""
+        m0 = float(np.max(beam2.values))
+        rep = level_set_energy_check(self.cfg(), beam2, [0.0, 0.25 * m0, 0.5 * m0])
+        zero, quarter, half = rep.values
+        assert abs(zero - -1.9444014270139778e-16) <= 1e-12
+        assert quarter == pytest.approx(0.11519377343122802, rel=1e-12, abs=0)
+        assert half == 0.0
+
     def test_no_fits_in_report(self, beam2):
         rep = level_set_energy_check(self.cfg(), beam2, [0.0, 0.3, 0.6])
         assert rep.fits == (), "level-set residual floors admit no rate fit"
+
+
+def _beam_functionals(name):
+    """A beam field and the `functionals` its run hands the observer, on a
+    d2-spectral, d3-spectral or d2-projected engine."""
+    if name == "d2-spectral":
+        cfg = SolverConfig(kernel=SPEC2, dt=0.02, t_end=0.02, lmax=32)
+        grid, angular = SpatialGrid(2, 8.0, 16), sphere_quadrature(2, 64)
+    elif name == "d3-spectral":
+        spec3 = KernelSpec(d=3, s=0.5, b1=2.0**-0.5)
+        cfg = SolverConfig(kernel=spec3, dt=0.02, t_end=0.02, lmax=5)
+        grid, angular = SpatialGrid(3, 8.0, 8), sphere_quadrature(3, 6)
+    else:
+        cfg = SolverConfig(
+            kernel=SPEC2, dt=0.005, t_end=0.005, lmax=8, backend="projected-plane"
+        )
+        grid = SpatialGrid(2, 8.0, 16)
+        angular = ProjectedAngularGrid(PlaneGrid(2, 8.0, 32))
+    u = make_initial("gaussian-beam", grid, angular, sigma=1.0, sigma_theta=0.6)
+    seen = []
+    run(cfg, u, lambda v, dl2, dhs, functionals: seen.append(functionals))
+    return u.values, seen[0]
+
+
+@pytest.mark.parametrize("name", ["d2-spectral", "d3-spectral", "d2-projected"])
+def test_truncation_on_rows_above_level_matches_full_field(name):
+    """The functionals of (u - lambda)_+ taken on only the rows whose maximum
+    exceeds lambda equal those of the whole truncated field: for a level
+    above the maximum (no row, (0, 0)), below the minimum (every row) and
+    at a beam level in between (some rows)."""
+    values, functionals = _beam_functionals(name)
+    lo, hi = float(values.min()), float(values.max())
+    lambdas = [0.5 * lo, 0.25 * hi, 2.0 * hi]
+    rows = values.reshape(-1, values.shape[-1])
+    selected = [int(np.sum(rows.max(axis=1) > lam)) for lam in lambdas]
+    assert selected[0] == len(rows) and 0 < selected[1] < len(rows) and selected[2] == 0
+    got = _truncated_functionals(values, lambdas, functionals)
+    assert got[2] == (0.0, 0.0)
+    for lam, pair in zip(lambdas, got):
+        want = functionals(np.maximum(values - lam, 0.0))
+        for a, b in zip(pair, want, strict=True):
+            assert abs(a - b) <= 1e-14 * abs(b), f"lambda {lam}: {a!r} != {b!r}"
 
 
 class TestDecay:

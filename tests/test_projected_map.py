@@ -20,6 +20,7 @@ is built, before the run's observer sees u0.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from prte.solver import (
     SpatialGrid,
     _engine_for,
     _ProjectedEngine,
+    energy_functionals,
     make_initial,
     run,
     scattering_step,
@@ -254,6 +256,31 @@ def test_run_builds_map_and_form_once(monkeypatch):
     _, records = run(cfg, u0)
     assert len(records) == 4
     assert built == ["_substep_map", "_hs_form"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_energy_functionals_builds_no_substep(name, monkeypatch):
+    """`energy_functionals` reads only the functionals, so it builds neither
+    M nor the form, yet its values are bit for bit those of `run`'s
+    `functionals` on the same field."""
+    spec, plane, dt = CASES[name]
+    grid = SpatialGrid(plane.d, 8.0, 4)
+    u = make_initial("gaussian-beam", grid, ProjectedAngularGrid(plane), sigma=1.0)
+    cfg = SolverConfig(
+        kernel=spec, dt=dt, t_end=dt, lmax=8, backend="projected-plane"
+    )
+    seen = []
+    run(cfg, u, lambda v, dl2, dhs, functionals: seen.append(functionals(u.values)))
+
+    def refuse(self, *args):
+        raise AssertionError("energy_functionals built a substep map")
+
+    monkeypatch.setattr(_ProjectedEngine, "_substep_map", refuse)
+    monkeypatch.setattr(_ProjectedEngine, "_hs_form", refuse)
+    got = energy_functionals(u, cfg)
+    assert got == seen[0]
+    # over the plane's dt bound too: no substep, so no bound to check
+    assert energy_functionals(u, replace(cfg, dt=1.0, t_end=1.0)) == got
 
 
 def test_dt_over_bound_fails_before_observe():

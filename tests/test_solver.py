@@ -10,6 +10,7 @@ common run, and the snapshot/diagnostics formats are pinned byte-for-byte.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,29 @@ class TestPhaseField:
         bad[0, 0, 0] = np.nan
         with pytest.raises(InvariantViolation):
             PhaseField(grid2, ang2, bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (31, 31, 63), (5, 17, 40)])
+    def test_each_nonfinite_value_rejected(self, grid2, ang2, value, where):
+        bad = np.random.default_rng(3).random(grid2.shape + (64,))
+        bad[where] = value
+        with pytest.raises(InvariantViolation):
+            PhaseField(grid2, ang2, bad)
+
+    def test_finiteness_check_allocates_no_field(self, grid2, ang2):
+        """Building a field checks finiteness without a field-sized
+        temporary (numpy reports its data buffers to tracemalloc)."""
+        vals = np.random.default_rng(4).random(grid2.shape + (64,))
+        PhaseField(grid2, ang2, vals)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            PhaseField(grid2, ang2, vals)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < vals.nbytes / 8, f"{peak} bytes for a {vals.nbytes}-byte field"
 
     def test_mass_and_l2_formulas(self, grid2, ang2):
         rng = np.random.default_rng(7)

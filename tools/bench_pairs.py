@@ -17,6 +17,8 @@ full job of every workload at the first seed as a plain `python3 -m
 prte.cli` child, and `os.wait4` records its minor page faults (`ru_minflt`)
 and peak RSS.  The two sides' full jobs of a workload must write the same
 files with the same bytes; `outputs_identical` records whether they did.
+Where they did not, `outputs_max_rel_dev` records how far apart they are
+(see `output_deviation`).
 
 The result goes to `BENCH_<label>.json` in this checkout's root: per workload, seed and end-to-end metric, each side's samples,
 median, quartiles and range, the head/base ratio of the medians, the head's
@@ -25,14 +27,18 @@ in 10 and the medians differ by more than the base's interquartile range.
 """
 
 import argparse
+import csv
 import filecmp
 import json
+import math
 import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -118,6 +124,86 @@ def same_outputs(a, b):
     )
 
 
+#: bytes before the payload doubles of a snapshot file (prte.solver's
+#: SNAPSHOT_HEADER_BYTES: magic, four uint32 and the time)
+SNAPSHOT_HEADER_BYTES = 28
+
+
+def _numeric_parts(path):
+    """{part name: values} of one output file: each column of a CSV file,
+    as a float64 array where every cell parses as a float and as the list of
+    cells where not, or a snapshot's payload doubles, with its header bytes
+    under "<name>:header"."""
+    name = os.path.basename(path)
+    if name.endswith(".bin"):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return {
+            name + ":header": raw[:SNAPSHOT_HEADER_BYTES],
+            name: np.frombuffer(raw, "<f8", offset=SNAPSHOT_HEADER_BYTES),
+        }
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    parts = {}
+    for col, label in enumerate(header):
+        try:
+            parts[f"{name}:{label}"] = np.array([float(r[col]) for r in rows])
+        except (ValueError, IndexError):
+            parts[f"{name}:{label}"] = [r[col] if col < len(r) else None for r in rows]
+    return parts
+
+
+def _part_deviation(a, b):
+    """max |a - b| over one part, relative to the base's largest magnitude
+    there (the head's where that is 0); inf when the part's shape, a
+    non-numeric cell or a non-finite value differs."""
+    if not isinstance(a, np.ndarray) or not isinstance(b, np.ndarray):
+        return 0.0 if a == b else math.inf
+    if a.shape != b.shape:
+        return math.inf
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not np.array_equal(a[~finite], b[~finite], equal_nan=True):
+        return math.inf
+    diff = float(np.max(np.abs(a[finite] - b[finite]), initial=0.0))
+    if diff == 0.0:
+        return 0.0
+    scale = float(np.max(np.abs(a[finite]), initial=0.0)) or float(
+        np.max(np.abs(b[finite]), initial=0.0)
+    )
+    return diff / scale
+
+
+def output_deviation(base, head):
+    """
+    How far the head's output directory is from the base's, over the numeric
+    CSV cells and the snapshot payload doubles (other files are not read):
+    {"max": the largest part deviation, "at": where it is, "parts": every
+    nonzero one}.  A part is one CSV column or one snapshot payload, and its
+    deviation is max |head - base| relative to the base's largest magnitude
+    in it, so a column that holds only roundoff (an energy residual) shows
+    about 1 when its roundoff moves.  A file on one side only, or a header
+    that differs, is inf.
+    """
+    names = sorted(set(os.listdir(base)) | set(os.listdir(head)))
+    parts = {}
+    for name in names:
+        if not name.endswith((".csv", ".bin")):
+            continue
+        a_path, b_path = os.path.join(base, name), os.path.join(head, name)
+        if not (os.path.exists(a_path) and os.path.exists(b_path)):
+            parts[name] = math.inf
+            continue
+        a, b = _numeric_parts(a_path), _numeric_parts(b_path)
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                parts[key] = math.inf
+            else:
+                parts[key] = _part_deviation(a[key], b[key])
+    nonzero = {k: v for k, v in parts.items() if v != 0.0}
+    at = max(nonzero, key=nonzero.get) if nonzero else None
+    return {"max": nonzero.get(at, 0.0), "at": at, "parts": nonzero}
+
+
 def describe(xs):
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "min": min(xs), "max": max(xs),
@@ -178,7 +264,7 @@ def main(argv=None):
                     )
                     for metric, better in metrics
                 }
-        usage, identical = {}, {}
+        usage, identical, deviation = {}, {}, {}
         for name, wl in sorted(WORKLOADS.items()):
             out = {tag: os.path.join(tmp, f"{tag}-{name}") for tag in sides}
             seed = args.seeds[0]
@@ -190,6 +276,8 @@ def main(argv=None):
                 for tag, tree in sides.items()
             }
             identical[name] = same_outputs(out["base"], out["head"])
+            if not identical[name]:
+                deviation[name] = output_deviation(out["base"], out["head"])
             for path in out.values():
                 shutil.rmtree(path, ignore_errors=True)
                 shutil.rmtree(path + "-setup", ignore_errors=True)
@@ -211,6 +299,7 @@ def main(argv=None):
         "results": results,
         "job_usage": usage,
         "outputs_identical": identical,
+        "outputs_max_rel_dev": deviation,
     }
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
