@@ -22,8 +22,9 @@ from .errors import (
     WindowTooShort,
 )
 from .fracop import frac_lap_g, frac_lap_spectral, kappa_limit, lattice_k2
-from .kernels import HGSpec, KernelSpec, hg_limit_b1
-from .solver import _energy_constants, run
+from .geom import check_dimension
+from .kernels import HGSpec, KernelSpec, energy_constants, hg_limit_b1
+from .solver import PhaseField, run
 
 # not called here; kept so that perfbench/tracing.py can still wrap these names
 from .solver import energy_functionals, strang_step_energy  # noqa: F401
@@ -188,8 +189,7 @@ def regularity_exponent(d, s, delta=0.5):
     with the moment exponent q = 2 / (1 - s).  The formula is the d = 3 one;
     d = 2 reuses it (callers flag that as extrapolated).
     """
-    if d not in (2, 3):
-        raise ParameterOutOfRange(f"need d in {{2, 3}}, got {d}")
+    check_dimension(d)
     if not 0.0 < s < 1.0:
         raise ParameterOutOfRange(f"need 0 < s < 1, got {s}")
     if not 0.0 < delta < 1.0:
@@ -250,15 +250,21 @@ def _final_state(cfg, u0):
     return snaps[-1]
 
 
+def _validate_ladder(name, ladder, admissible, where):
+    """The ladder as a tuple of floats: at least 3 points, each admissible
+    (a predicate that NaN fails), strictly increasing."""
+    ladder = tuple(float(x) for x in ladder)
+    if len(ladder) < 3:
+        raise ParameterOutOfRange(f"{name} ladder needs >= 3 points, got {len(ladder)}")
+    if not all(admissible(x) for x in ladder):
+        raise ParameterOutOfRange(f"{name} ladder must lie {where}, got {ladder}")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ParameterOutOfRange(f"{name} ladder must increase strictly")
+    return ladder
+
+
 def _validate_g_ladder(g_ladder):
-    g_ladder = tuple(float(g) for g in g_ladder)
-    if len(g_ladder) < 3:
-        raise ParameterOutOfRange(f"g ladder needs >= 3 points, got {len(g_ladder)}")
-    if any(not 0.0 < g < 1.0 for g in g_ladder):
-        raise ParameterOutOfRange("g ladder must lie inside (0, 1)")
-    if any(b <= a for a, b in zip(g_ladder, g_ladder[1:])):
-        raise ParameterOutOfRange("g ladder must increase strictly toward 1")
-    return g_ladder
+    return _validate_ladder("g", g_ladder, lambda g: 0.0 < g < 1.0, "inside (0, 1)")
 
 
 def hg_convergence_study(cfg, u0, g_ladder, threads=1):
@@ -285,11 +291,8 @@ def hg_convergence_study(cfg, u0, g_ladder, threads=1):
 
     with ThreadPoolExecutor(max_workers=max(1, int(threads))) as ex:
         finals = list(ex.map(one, g_ladder))
-    w = np.asarray(u0.angular.weights)
-    vol = u0.spatial.cell_volume()
     errs = tuple(
-        float(np.sqrt(vol * np.sum(((f.values - ref.values) ** 2) @ w)))
-        for f in finals
+        PhaseField(f.spatial, f.angular, f.values - ref.values).l2() for f in finals
     )
     if any(b >= a for a, b in zip(errs, errs[1:])):
         raise NonMonotoneConvergence(
@@ -341,7 +344,7 @@ def operator_rate_study(psi, s, g_ladder, threads=1):
     peak = float(np.max(np.abs(psi.values)))
     if peak == 0.0:
         raise ParameterOutOfRange("psi must not vanish everywhere")
-    inner = grid.interior_mask(0.5)
+    inner = grid.interior_mask()
     # effective support: relative floor keeps analytically-nonvanishing probes usable
     support = np.abs(psi.values) > 1e-12 * peak
     if np.any(support & ~inner):
@@ -456,65 +459,44 @@ def level_set_energy_check(cfg, u0, lambdas):
     on only the angular rows whose maximum exceeds lambda (the truncation
     is zero on every other row, see `_truncated_functionals`).
     """
-    lambdas = tuple(float(l) for l in lambdas)
-    if len(lambdas) < 3:
-        raise ParameterOutOfRange(f"lambda ladder needs >= 3 points, got {len(lambdas)}")
-    if not np.all(np.isfinite(lambdas)):
-        raise ParameterOutOfRange(f"lambda ladder must be finite, got {lambdas}")
-    if any(l < 0.0 for l in lambdas):
-        raise ParameterOutOfRange("lambda ladder must be nonnegative")
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ParameterOutOfRange("lambda ladder must increase strictly")
-    D0, D1, _ = _energy_constants(cfg.kernel)
+    lambdas = _validate_ladder(
+        "lambda", lambdas, lambda l: 0.0 <= l < np.inf, "in [0, inf)"
+    )
+    D0, D1, _ = energy_constants(cfg.kernel)
     n_steps = cfg.steps()
     positives = [l for l in lambdas if l > 0.0]
-    # lambda = 0: marcher-style accumulation; lambda > 0: trapezoid endpoints
-    step = -1
-    l2_emit0 = win_l20 = win_hs0 = 0.0
+    # one ledger entry per level of [0, *positives]: ||u_lam||^2 at the
+    # window's start, the window's (int ||u_lam||^2, int ||u_lam||^2_Hs) and
+    # the worst scaled residual so far; prev holds the positive levels'
+    # functionals at the last step, the trapezoid's left ends
+    emit = np.zeros(len(positives) + 1)
+    window = np.zeros((len(positives) + 1, 2))
+    worst = np.full(len(positives) + 1, np.inf)
+    prev = np.zeros((len(positives), 2))
     zero_residuals = []
-    state = {}
-    worst = {lam: np.inf for lam in lambdas}
+    step = -1
 
     def observe(u, dl2, dhs, functionals):
-        nonlocal step, l2_emit0, win_l20, win_hs0
+        nonlocal step
         step += 1
-        truncated = _truncated_functionals(u.values, positives, functionals)
+        cur = _truncated_functionals(u.values, positives, functionals)
+        cur = np.reshape(cur, prev.shape)
         if step == 0:
-            l2_emit0 = u.l2() ** 2
-            for lam, f in zip(positives, truncated):
-                state[lam] = {"prev": f, "emit": f[0], "win_l2": 0.0, "win_hs": 0.0}
+            prev[:] = cur
+            emit[:] = np.concatenate(([u.l2() ** 2], cur[:, 0]))
             return
-        win_l20 += dl2
-        win_hs0 += dhs
-        for lam, f in zip(positives, truncated):
-            st = state[lam]
-            st["win_l2"] += 0.5 * cfg.dt * (st["prev"][0] + f[0])
-            st["win_hs"] += 0.5 * cfg.dt * (st["prev"][1] + f[1])
-            st["prev"] = f
+        # entry 0 adds the marcher's closed forms, the others the trapezoid
+        window[0] += (dl2, dhs)
+        window[1:] += 0.5 * cfg.dt * (prev + cur)
+        prev[:] = cur
         if not (step % cfg.diagnostics_every == 0 or step == n_steps):
             return
-        l2_now0 = u.l2() ** 2
-        res0 = 0.5 * l2_emit0 + D1 * win_l20 - 0.5 * l2_now0 - D0 * win_hs0
-        zero_residuals.append(res0)
-        if 0.0 in lambdas:
-            denom = l2_emit0 if l2_emit0 > 0.0 else 1.0
-            worst[0.0] = min(worst[0.0], res0 / denom)
-        l2_emit0 = l2_now0
-        win_l20 = 0.0
-        win_hs0 = 0.0
-        for lam in positives:
-            st = state[lam]
-            res = (
-                0.5 * st["emit"]
-                + D1 * st["win_l2"]
-                - 0.5 * st["prev"][0]
-                - D0 * st["win_hs"]
-            )
-            denom = st["emit"] if st["emit"] > 0.0 else 1.0
-            worst[lam] = min(worst[lam], res / denom)
-            st["emit"] = st["prev"][0]
-            st["win_l2"] = 0.0
-            st["win_hs"] = 0.0
+        now = np.concatenate(([u.l2() ** 2], cur[:, 0]))
+        res = 0.5 * emit + D1 * window[:, 0] - 0.5 * now - D0 * window[:, 1]
+        zero_residuals.append(float(res[0]))
+        np.minimum(worst, res / np.where(emit > 0.0, emit, 1.0), out=worst)
+        emit[:] = now
+        window[:] = 0.0
 
     _, records = run(replace(cfg, snapshot_every=0), u0, observe)
     # one observed window per diagnostics row after the first, or no match
@@ -524,15 +506,11 @@ def level_set_energy_check(cfg, u0, lambdas):
         if len(zero_residuals) == len(rows)
         else np.inf
     )
-    values = tuple(worst[lam] for lam in lambdas)
+    # the ladder is [0, *positives] or positives alone
+    values = tuple(float(w) for w in worst[len(worst) - len(lambdas) :])
     checks = [
-        CheckResult(
-            f"residual_floor_lambda_{i}",
-            worst[lam],
-            RESIDUAL_FLOOR,
-            worst[lam] >= RESIDUAL_FLOOR,
-        )
-        for i, lam in enumerate(lambdas)
+        CheckResult(f"residual_floor_lambda_{i}", w, RESIDUAL_FLOOR, w >= RESIDUAL_FLOOR)
+        for i, w in enumerate(values)
     ]
     if 0.0 in lambdas:
         checks.append(

@@ -33,11 +33,21 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BoundaryLeakage, ParameterOutOfRange
-from .geom import check_dimension
+from .geom import bracket, check_dimension
 from .kernels import bessel_constant, frac_constant
 
 #: warn when boundary magnitude exceeds this fraction of the field maximum
 LEAKAGE_FRACTION = 1.0e-6
+#: half-width of `PlaneGrid.interior_mask`'s box, as a fraction of L
+INTERIOR_FRACTION = 0.5
+#: radius of `frac_lap_quadrature`'s Taylor-corrected near field
+NEAR_RADIUS = 1.0
+#: target rows per dense kernel block of `frac_lap_g` (memory control)
+HG_BLOCK = 2048
+#: `frac_lap_g`'s exterior frame reaches HG_FAR_FACTOR * L, sampled at
+#: HG_COARSE_FACTOR times the lattice spacing
+HG_FAR_FACTOR = 8.0
+HG_COARSE_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -89,16 +99,15 @@ class PlaneGrid:
 
     def bracket(self):
         """<v> on the lattice."""
-        pts = self.points()
-        return np.sqrt(1.0 + np.sum(pts * pts, axis=-1))
+        return bracket(self.points())
 
     def freq(self):
         """Angular frequencies per axis for the periodized lattice."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
 
-    def interior_mask(self, fraction=0.5):
-        """Boolean mask of the centered box with half-width fraction * L."""
-        ax = np.abs(self.axis()) <= fraction * self.L
+    def interior_mask(self):
+        """Boolean mask of the centered box with half-width INTERIOR_FRACTION * L."""
+        ax = np.abs(self.axis()) <= INTERIOR_FRACTION * self.L
         if self.ndim == 1:
             return ax
         return ax[:, None] & ax[None, :]
@@ -165,17 +174,19 @@ def lattice_k2(k, ndim):
     return k2
 
 
-def half_multiplicity(n):
+def parseval_weights(n, ndim, cell_volume):
     """
-    How many bins of a length-n spectrum each rfft bin stands for.  The
-    stored half holds one bin of each conjugate pair, except bin 0 and, for
-    even n, the Nyquist bin n/2, which are their own partners and count once.
+    One weight per bin of the rfftn half-spectrum F of a field f on an
+    n^ndim lattice: sum_k w_k |F_k|^2 = cell_volume sum_x |f_x|^2.  Along
+    the last axis the stored half holds one bin of each conjugate pair,
+    which counts twice, except bin 0 and, for even n, the Nyquist bin n/2,
+    which are their own partners and count once.
     """
     mult = np.full(n // 2 + 1, 2.0)
     mult[0] = 1.0
     if n % 2 == 0:
         mult[-1] = 1.0
-    return mult
+    return np.broadcast_to(cell_volume / n**ndim * mult, (n,) * (ndim - 1) + mult.shape)
 
 
 def frac_lap_spectral(grid, f, s):
@@ -304,18 +315,19 @@ def _tail_field_integral(grid, f_ext, v, s):
     return np.sum(wp * per_phi)
 
 
-def frac_lap_quadrature(grid, f, s, targets, f_ext=None, r0=1.0):
+def frac_lap_quadrature(grid, f, s, targets, f_ext=None):
     """
     Singular-integral oracle for (-Lap)^s f at selected lattice points,
 
         c_{n,s} PV int (f(v) - f(v+z)) / |z|^{n+2s} dz.
 
-    Inside |z| <= r0 the local quadratic Taylor model of f is subtracted from
-    the midpoint sum and restored through the cell-exact second moment of the
-    kernel (the gradient term cancels by symmetry), which removes the
-    singularity at second order.  Beyond the lattice the kernel tail is
-    integrated exactly over the box complement, against f == 0 or against the
-    supplied analytic extension ``f_ext`` (called with an (m, ndim) array).
+    Inside |z| <= NEAR_RADIUS the local quadratic Taylor model of f is
+    subtracted from the midpoint sum and restored through the cell-exact
+    second moment of the kernel (the gradient term cancels by symmetry),
+    which removes the singularity at second order.  Beyond the lattice the
+    kernel tail is integrated exactly over the box complement, against
+    f == 0 or against the supplied analytic extension ``f_ext`` (called with
+    an (m, ndim) array).
 
     Slow by design; this is the oracle the fast backends are checked against.
     """
@@ -325,6 +337,7 @@ def frac_lap_quadrature(grid, f, s, targets, f_ext=None, r0=1.0):
         raise ParameterOutOfRange(f"need 0 < s < 1, got s = {s}")
     c = frac_constant(n, s)
     h = grid.h
+    r0 = NEAR_RADIUS
     pts = grid.points().reshape(-1, n)
     fflat = f.reshape(-1)
     lap = _laplacian_fd(grid, f).reshape(-1)
@@ -437,17 +450,17 @@ def _hg_center_correction(grid, hg, targets_pts, lap_at_targets):
     return -(lap_at_targets / (2.0 * n)) * i2
 
 
-def _hg_exterior_tail(grid, hg, targets_pts, far_factor=8.0, coarse_factor=4.0):
+def _hg_exterior_tail(grid, hg, targets_pts):
     """
     T_out(v) = int_{outside the box} 1/delta_g dv' for each target: coarse
-    midpoint lattice over the frame [-fL, fL]^n \\ [-L, L]^n plus the closed
-    power-law remainder beyond fL.
+    midpoint lattice over the frame [-fL, fL]^n \\ [-L, L]^n, f = HG_FAR_FACTOR,
+    plus the closed power-law remainder beyond fL.
     """
     n = grid.ndim
     g, alpha = hg.g, hg.base.alpha
     L = grid.L
-    Rf = far_factor * L
-    hc = coarse_factor * grid.h
+    Rf = HG_FAR_FACTOR * L
+    hc = HG_COARSE_FACTOR * grid.h
     ax = np.arange(-Rf + hc / 2.0, Rf, hc)
     if n == 1:
         frame = ax[np.abs(ax) >= L][:, None]
@@ -466,7 +479,7 @@ def _hg_exterior_tail(grid, hg, targets_pts, far_factor=8.0, coarse_factor=4.0):
     return tails
 
 
-def frac_lap_g(grid, f, hg, targets=None, block=2048):
+def frac_lap_g(grid, f, hg, targets=None):
     """
     The bounded regularization (-Lap)^s_g f on the lattice,
 
@@ -475,10 +488,8 @@ def frac_lap_g(grid, f, hg, targets=None, block=2048):
     evaluated with the full grid sum, a Taylor-corrected central cell and the
     exterior tail (without which the result is wrong at order f(v)).
 
-    Parameters
-    ----------
-    targets : optional array of index tuples; default all lattice points.
-    block : rows per kernel block (memory control).
+    targets is an optional array of index tuples (default: all lattice
+    points); the kernel is built HG_BLOCK target rows at a time.
     """
     f = _values(f)
     n = grid.ndim
@@ -496,11 +507,10 @@ def frac_lap_g(grid, f, hg, targets=None, block=2048):
     tpts = pts[t_idx]
     vol = grid.cell_volume()
     out = np.empty(len(t_idx))
-    for start in range(0, len(t_idx), block):
-        sl = slice(start, min(start + block, len(t_idx)))
+    for start in range(0, len(t_idx), HG_BLOCK):
+        sl = slice(start, start + HG_BLOCK)
         kern = hg_kernel(hg, tpts[sl][:, None, :], pts[None, :, :])
-        rows = np.arange(start, min(start + block, len(t_idx)))
-        kern[np.arange(len(rows)), t_idx[rows]] = 0.0  # punctured cell handled below
+        kern[np.arange(len(kern)), t_idx[sl]] = 0.0  # punctured cell handled below
         out[sl] = -vol * (kern @ fflat - kern.sum(axis=1) * fflat[t_idx[sl]])
     out += _hg_center_correction(grid, hg, tpts, lap[t_idx])
     out += fflat[t_idx] * _hg_exterior_tail(grid, hg, tpts)
@@ -581,7 +591,7 @@ def bessel_identity_residual(grid, s):
         warnings.simplefilter("ignore", BoundaryLeakage)
         lhs = frac_lap_spectral(grid, field, s)
     lhs = lhs + rhs.mean()
-    mask = grid.interior_mask(0.5)
+    mask = grid.interior_mask()
     num = np.sqrt(np.sum((lhs[mask] - rhs[mask]) ** 2))
     den = np.sqrt(np.sum(rhs[mask] ** 2))
     return num / den

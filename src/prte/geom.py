@@ -46,6 +46,11 @@ def check_direction(theta, d):
     return theta
 
 
+def direction_cosines(nodes):
+    """theta_i . theta_j of every pair of unit directions, clipped to [-1, 1]."""
+    return np.clip(nodes @ nodes.T, -1.0, 1.0)
+
+
 def bracket(v):
     """<v> = sqrt(1 + |v|^2) for plane points with components on the last axis."""
     v = np.asarray(v, dtype=float)

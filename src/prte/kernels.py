@@ -258,6 +258,16 @@ def constants(spec):
     return Constants(c_frac=c_f, c_bessel=c_b, D=D, D0=D0, D1=D1)
 
 
+def energy_constants(kernel):
+    """(D0, D1, b1 > 0) of a kernel or its approximant's base, degenerating
+    cleanly to (0, 2 h_l1, False) when b1 = 0."""
+    base = kernel.base
+    if base.b1 > 0.0:
+        cst = constants(base)
+        return cst.D0, cst.D1, True
+    return 0.0, 2.0 * base.h_l1, False
+
+
 def parse_remainder(text):
     """
     Parse a remainder description used in config files.

@@ -46,13 +46,19 @@ from .errors import (
 )
 from . import fracop
 from .fracop import PlaneField, _values
-from .geom import check_dimension, sphere_area, unproject
+from .geom import check_dimension, direction_cosines, sphere_area, unproject
 from .kernels import HGSpec, constants, hg_rescaled, limiting_kernel
 
 #: nonincreasing-eigenvalue slack, relative to the largest magnitude
 EIG_MONOTONE_TOL = 1.0e-10
 #: discrete Parseval / exactness guard used by the transforms
 TRANSFORM_TOL = 1.0e-10
+#: `funk_hecke_eigs` stops refining once the eigenvalues move by at most
+#: EIG_RTOL relative, and fails if they still move by more than EIG_FAIL_TOL
+EIG_RTOL = 1e-8
+EIG_FAIL_TOL = 1e-6
+#: Gauss-Legendre nodes per panel of the Funk-Hecke quadrature
+PANEL_NODES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +279,9 @@ class EigenTable:
         return len(self.lambdas) - 1
 
 
-def _graded_panels(upper, n_panels, per_panel=16):
+def _graded_panels(upper, n_panels):
     """Composite Gauss-Legendre nodes/weights on (0, upper) split uniformly."""
-    gq, gw = leggauss(per_panel)
+    gq, gw = leggauss(PANEL_NODES)
     edges = np.linspace(0.0, upper, n_panels + 1)
     a = edges[:-1, None]
     bw = (edges[1:, None] - a) / 2.0
@@ -318,11 +324,11 @@ def _eig_integral(kernel, lmax, n_panels):
     return 2.0 * np.pi * np.sum(poly * (bvals * jac * wts)[None, :], axis=1)
 
 
-def funk_hecke_eigs(kernel, lmax, rtol=1e-8, fail_tol=1e-6):
+def funk_hecke_eigs(kernel, lmax):
     """
     EigenTable by graded-mesh quadrature, panel count doubled until the
-    eigenvalues move by less than rtol relative; QuadratureNonConvergence if
-    they still move by more than fail_tol at the refinement cap.
+    eigenvalues move by less than EIG_RTOL relative; QuadratureNonConvergence
+    if they still move by more than EIG_FAIL_TOL at the refinement cap.
     """
     if lmax < 0:
         raise ParameterOutOfRange(f"need lmax >= 0, got {lmax}")
@@ -335,9 +341,9 @@ def funk_hecke_eigs(kernel, lmax, rtol=1e-8, fail_tol=1e-6):
         scale = np.abs(cur).max() or 1.0
         change = np.abs(cur - prev).max() / scale
         prev = cur
-        if change <= rtol:
+        if change <= EIG_RTOL:
             break
-    if change > fail_tol:
+    if change > EIG_FAIL_TOL:
         raise QuadratureNonConvergence(
             f"eigenvalue quadrature still moving by {change:.2e} at {panels} panels"
         )
@@ -377,10 +383,8 @@ class PlaneOperator:
             warnings.simplefilter("ignore")
             self.bw0 = fracop.frac_lap_spectral(grid, self.w0, s)
         self.mult = fracop.lattice_k2(grid.freq(), grid.ndim) ** s
-        half = fracop.half_multiplicity(grid.n)
-        self.hs_weight = (
-            grid.cell_volume() / grid.n**grid.ndim * self.mult[..., : half.size] * half
-        ).ravel()
+        parseval = fracop.parseval_weights(grid.n, grid.ndim, grid.cell_volume())
+        self.hs_weight = (self.mult[..., : grid.n // 2 + 1] * parseval).ravel()
 
     def core(self, f):
         spec = np.fft.fftn(f * self.w0, axes=self.axes)
@@ -452,7 +456,7 @@ def apply_I_h(quad, u, spec):
     u = np.asarray(u, dtype=float)
     if spec.h is None:
         return np.zeros_like(u)
-    z = np.clip(quad.nodes @ quad.nodes.T, -1.0, 1.0)
+    z = direction_cosines(quad.nodes)
     hmat = spec.remainder(z)
     wu = quad.weights * u
     out = hmat @ wu - (hmat @ quad.weights) * u
@@ -468,7 +472,7 @@ def apply_I_h(quad, u, spec):
 
 def _pairing_matrix(quad, spec, eps):
     """w_i w_j b(z_ij) masked to 1 - z >= eps (diagonal excluded)."""
-    z = np.clip(quad.nodes @ quad.nodes.T, -1.0, 1.0)
+    z = direction_cosines(quad.nodes)
     mask = (1.0 - z) >= eps
     zsafe = np.where(mask, z, -1.0)
     bz = np.where(mask, _kernel_on(spec, zsafe), 0.0)
@@ -493,17 +497,11 @@ def weak_pairing(quad, u, psi, spec, eps):
 EPS_LADDER = (1e-2, 1e-3, 1e-4)
 
 
-def _richardson(vals, ladder, s):
-    """One Richardson step on the finest pair; truncation is O(eps^{1-s})."""
-    r = (ladder[-2] / ladder[-1]) ** (1.0 - s)
-    return vals[-1] + (vals[-1] - vals[-2]) / (r - 1.0)
-
-
-def apply_scatter_weak(quad, u, spec, lmax, ladder=EPS_LADDER):
+def apply_scatter_weak(quad, u, spec, lmax):
     """
     Apply I through the weak form alone: pair u against every basis function
-    on the cutoff ladder, extrapolate each coefficient to eps -> 0, and
-    synthesize.  Returns values on the quadrature nodes.
+    on the cutoff ladder EPS_LADDER, extrapolate each coefficient to
+    eps -> 0, and synthesize.  Returns values on the quadrature nodes.
     """
     s = spec.base.s
     if lmax > quad.lmax_cap():
@@ -513,12 +511,14 @@ def apply_scatter_weak(quad, u, spec, lmax, ladder=EPS_LADDER):
     u = np.asarray(u, dtype=float)
     basis = basis_at_directions(quad.d, quad.nodes, lmax)
     per_eps = []
-    for eps in ladder:
+    for eps in EPS_LADDER:
         m = _pairing_matrix(quad, spec, eps)
         row = m.sum(axis=1)
         coeffs = u @ (m @ basis) - ((row * u) @ basis)
         per_eps.append(coeffs)
-    coeffs = _richardson(per_eps, ladder, s)
+    # one Richardson step on the finest pair; truncation is O(eps^{1-s})
+    r = (EPS_LADDER[-2] / EPS_LADDER[-1]) ** (1.0 - s)
+    coeffs = per_eps[-1] + (per_eps[-1] - per_eps[-2]) / (r - 1.0)
     # discrete Gram correction: the basis is orthonormal only up to exactness
     gram_diag = np.sum(quad.weights[:, None] * basis**2, axis=0)
     return basis @ (coeffs / gram_diag)
@@ -547,7 +547,7 @@ def hs_norm(quad, u, spec, grid, lmax=None):
     """
     s = spec.base.s
     u = np.asarray(u, dtype=float)
-    z = np.clip(quad.nodes @ quad.nodes.T, -1.0, 1.0)
+    z = direction_cosines(quad.nodes)
     chord2 = 2.0 * (1.0 - z)
     np.fill_diagonal(chord2, 1.0)  # diagonal carries (u_i - u_i)^2 = 0
     kern = chord2 ** (-(quad.d - 1.0 + 2.0 * s) / 2.0)

@@ -78,7 +78,6 @@ nodes, so every d = 3 plane (at least 1024 nodes) keeps the FFTs.
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -88,8 +87,9 @@ from .errors import (
     StabilityViolation,
     UnknownKind,
 )
-from .fracop import PlaneGrid, half_multiplicity
-from .kernels import HGSpec, KernelSpec, conformal_eigenvalue, constants
+from .fracop import PlaneGrid, parseval_weights
+from .geom import check_dimension, direction_cosines, jacobian_to_sphere, unproject
+from .kernels import HGSpec, conformal_eigenvalue, constants, energy_constants
 from .scatter import (
     PlaneOperator,
     SphereQuadrature,
@@ -125,8 +125,7 @@ class SpatialGrid:
     m: int
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ParameterOutOfRange(f"need d in {{2, 3}}, got {self.d}")
+        check_dimension(self.d)
         if not (np.isfinite(self.X) and self.X > 0.0):
             raise ParameterOutOfRange(f"need finite X > 0, got {self.X}")
         if self.m < 2 or self.m & (self.m - 1):
@@ -166,13 +165,9 @@ class ProjectedAngularGrid:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        from .geom import unproject
-
         pts = self.plane.points().reshape(-1, self.plane.ndim)
         object.__setattr__(self, "nodes", unproject(pts, self.plane.d))
-        br = self.plane.bracket().reshape(-1)
-        dm1 = self.plane.ndim
-        w = 2.0**dm1 * self.plane.cell_volume() * br ** (-2.0 * dm1)
+        w = jacobian_to_sphere(pts, self.plane.d) * self.plane.cell_volume()
         object.__setattr__(self, "weights", w)
 
     @property
@@ -266,7 +261,6 @@ class DiagnosticsRecord:
     linf: float
     hs_integral: float
     energy_residual: float
-    rho_sobolev: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +328,8 @@ def _dot_theta(out, per_axis, theta):
 def _parseval_weights(spatial):
     """One weight per rfftn bin: sum_k w_k |U_k|^2 = cell_volume sum_x |u_x|^2."""
     g = spatial
-    mult = half_multiplicity(g.m)
-    w = np.broadcast_to(g.cell_volume() / g.m**g.d * mult, g.shape[:-1] + mult.shape)
     # the real and the imaginary batch rows carry the same weights
-    return np.tile(w.ravel(), 2)
+    return np.tile(parseval_weights(g.m, g.d, g.cell_volume()).ravel(), 2)
 
 
 def transport_step(u, dt):
@@ -361,15 +353,6 @@ def transport_step(u, dt):
 
 def _null_kernel(kernel):
     return not isinstance(kernel, HGSpec) and kernel.b1 == 0.0 and kernel.h is None
-
-
-def _energy_constants(kernel):
-    """(D0, D1, sigma-prefactor flag): degenerate cleanly when b1 = 0."""
-    base = kernel.base
-    if base.b1 > 0.0:
-        cst = constants(base)
-        return cst.D0, cst.D1, True
-    return 0.0, 2.0 * base.h_l1, False
 
 
 def _sigma_table(kernel, lmax, with_b1):
@@ -529,12 +512,14 @@ class _SpectralEngine(_Engine):
         self.d = kernel.base.d
         m = len(angular.weights)
         self.lmax = m // 2 if self.d == 2 else min(lmax, angular.lmax_cap())
-        self.D0, self.D1, with_b1 = _energy_constants(kernel)
+        self.D0, self.D1, with_b1 = energy_constants(kernel)
         self.sigma = _sigma_table(kernel, self.lmax, with_b1)
-        if self.d == 3:
-            basis = basis_at_directions(3, angular.nodes, self.lmax)
-            self.basis = basis
-            self.proj = angular.weights[:, None] * basis
+        if self.d == 2:
+            # Parseval weights of the angular rfft bins
+            self.bin_weight = parseval_weights(m, 1, 2.0 * np.pi / m)
+        else:
+            self.basis = basis_at_directions(3, angular.nodes, self.lmax)
+            self.proj = angular.weights[:, None] * self.basis
             self.degrees = mode_degrees(3, self.lmax)
         if dt is None:
             return
@@ -568,11 +553,9 @@ class _SpectralEngine(_Engine):
         d=2, where the rfft has consumed it, and the output's at d=3.
         """
         if self.d == 2:
-            m = flat.shape[-1]
-            # Parseval mode masses over the angular rfft bins
             power = np.abs(spec, out=self._take("batch", spec.shape))
             power = _row_sum(row_weight, np.square(power, out=power))
-            return (2.0 * np.pi / m**2) * half_multiplicity(m) * power, 0.0
+            return self.bin_weight * power, 0.0
         sq = np.square(spec, out=self._take("out", spec.shape))
         per_mode = _row_sum(row_weight, sq)
         resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
@@ -655,12 +638,11 @@ class _ProjectedEngine(_Engine):
         # [I(u)]_J <v>^{-(d-1)}, so undo the weight here (stiff in the halo,
         # which is what the power-iteration dt bound measures)
         self.front = cst.D * grid.bracket() ** (2.0 * s + grid.ndim)
-        self.D0, self.D1, _ = _energy_constants(kernel)
+        self.D0, self.D1, _ = energy_constants(kernel)
         if kernel.h is not None:
-            z = np.clip(angular.nodes @ angular.nodes.T, -1.0, 1.0)
-            hmat = kernel.remainder(z) * angular.weights[None, :]
-            self.hmat = hmat
-            self.hrow = hmat.sum(axis=1)
+            z = direction_cosines(angular.nodes)
+            self.hmat = kernel.remainder(z) * angular.weights[None, :]
+            self.hrow = self.hmat.sum(axis=1)
         else:
             self.hmat = None
         # two-thirds rule along each plane axis
@@ -818,12 +800,6 @@ def strang_step_energy(u, dt, cfg):
     one = replace(cfg, dt=dt, t_end=dt, snapshot_every=0)
     run(one, u, lambda v, dl2, dhs, _: seen.append((v, dl2, dhs)))
     return seen[-1]
-
-
-def strang_step(u, dt, cfg):
-    """transport(dt/2) then scattering(dt) then transport(dt/2)."""
-    out, _, _ = strang_step_energy(u, dt, cfg)
-    return out
 
 
 def energy_functionals(u, cfg):

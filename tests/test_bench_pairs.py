@@ -1,6 +1,8 @@
-"""`tools/bench_pairs.py`: how far two sides' output directories are apart."""
+"""`tools/bench_pairs.py`: how far two sides' output directories are apart,
+and whether a traced run's last line is a result the benchmark can read."""
 
 import importlib.util
+import json
 import math
 import os
 import struct
@@ -80,3 +82,29 @@ def test_structural_differences_are_infinite(bench_pairs, tmp_path):
         "snapshot_0000.bin": math.inf,
         "extra.csv": math.inf,
     }
+
+
+def result_line(**metrics):
+    return json.dumps({"correct": True, "metrics": {
+        name: {"value": value, "unit": "s"} for name, value in metrics.items()
+    }})
+
+
+@pytest.mark.parametrize(
+    "stdout, ok",
+    [
+        ("machine: {}\n" + result_line(a=1.5, b=0) + "\n", True),
+        (result_line(a=1.5, b=float("nan")), False),
+        (result_line(a=1.5, b=float("inf")), False),
+        (result_line(a=1.5, b=None), False),
+        (result_line(a=True), False),
+        (result_line(), False),
+        (result_line(a=1.5) + "\nTraceback (most recent call last):", False),
+        ('{"metrics": [1, 2]}', False),
+        ("", False),
+    ],
+    ids=["finite", "nan", "infinity", "null", "bool", "no-metrics", "not-last",
+         "metrics-not-a-map", "empty"],
+)
+def test_traced_line_ok(bench_pairs, stdout, ok):
+    assert bench_pairs.traced_line_ok(stdout) is ok

@@ -146,6 +146,20 @@ class TestConfigValidation:
         cfg = write_ini(tmp_path, HG_STUDY.replace("name = hg-convergence", "name = mystery"))
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("case", ["ini-syntax-error", "out-under-a-file"])
+    def test_unusable_config_or_out_exits_2(self, tmp_path, capsys, case):
+        """A configparser.Error and an OSError exit 2, as a ConfigError does
+        (test_unreadable_config)."""
+        cfg = write_ini(tmp_path, BEAM_SOLVE)
+        out = str(tmp_path / "out")
+        if case == "ini-syntax-error":
+            cfg = write_ini(tmp_path, "dimension = 2\n" + BEAM_SOLVE, name="bad.ini")
+        else:
+            out = os.path.join(cfg, "out")
+        assert main(["solve", "--config", cfg, "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, err
+
     def test_two_point_ladder(self, tmp_path):
         cfg = write_ini(tmp_path, HG_STUDY.replace("ladder = 0.8,0.9,0.95", "ladder = 0.8,0.9"))
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -58,7 +58,7 @@ class TestPlaneGrid:
         assert g.shape == (64, 64)
         assert g.points().shape == (64, 64, 2)
         assert g.bracket().min() == pytest.approx(1.0)
-        inner = g.interior_mask(0.5)
+        inner = g.interior_mask()
         ax = g.axis()
         assert inner.sum() == (np.abs(ax) <= 4.0).sum() ** 2
 

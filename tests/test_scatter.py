@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import eval_chebyt, eval_legendre, lpmv, sph_harm_y
 
+from prte import scatter
 from prte.errors import (
     InvariantViolation,
     ParameterOutOfRange,
@@ -261,9 +262,11 @@ class TestEigenvalues:
         with pytest.raises(InvariantViolation):
             EigenTable(SPEC3, np.array([0.0, -2.0, -1.0]))
 
-    def test_unconverged_quadrature_raises(self):
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(scatter, "EIG_RTOL", 0.0)
+        monkeypatch.setattr(scatter, "EIG_FAIL_TOL", 0.0)
         with pytest.raises(QuadratureNonConvergence):
-            funk_hecke_eigs(SPEC3, 4, rtol=0.0, fail_tol=0.0)
+            funk_hecke_eigs(SPEC3, 4)
 
     def test_negative_lmax_raises(self):
         with pytest.raises(ParameterOutOfRange):

@@ -36,7 +36,7 @@ from prte.solver import (
     read_snapshot,
     run,
     scattering_step,
-    strang_step,
+    strang_step_energy,
     transport_step,
     write_diagnostics,
     write_snapshot,
@@ -285,7 +285,7 @@ class TestStrangStep:
         phi = np.arctan2(ang2.nodes[:, 1], ang2.nodes[:, 0])
         u = PhaseField(grid2, ang2, x_uniform(grid2, 1.0 + 0.5 * np.cos(phi)))
         cfg = SolverConfig(kernel=SPEC2, dt=0.05, t_end=0.05, lmax=8)
-        a = strang_step(u, 0.05, cfg)
+        a, _, _ = strang_step_energy(u, 0.05, cfg)
         b = scattering_step(u, 0.05, cfg)
         dev = np.max(np.abs(a.values - b.values))
         assert dev <= 1e-13, f"x-uniform strang differs from scattering: {dev:.2e}"
@@ -295,7 +295,7 @@ class TestStrangStep:
         u = PhaseField(grid2, ang2, rng.random(grid2.shape + (64,)))
         null = KernelSpec(d=2, s=0.25, b1=0.0)
         cfg = SolverConfig(kernel=null, dt=0.1, t_end=0.1, lmax=8)
-        a = strang_step(u, 0.1, cfg)
+        a, _, _ = strang_step_energy(u, 0.1, cfg)
         b = transport_step(transport_step(u, 0.05), 0.05)
         dev = np.max(np.abs(a.values - b.values))
         assert dev <= 1e-13, f"null-kernel strang differs from transport: {dev:.2e}"

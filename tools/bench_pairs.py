@@ -18,7 +18,10 @@ prte.cli` child, and `os.wait4` records its minor page faults (`ru_minflt`)
 and peak RSS.  The two sides' full jobs of a workload must write the same
 files with the same bytes; `outputs_identical` records whether they did.
 Where they did not, `outputs_max_rel_dev` records how far apart they are
-(see `output_deviation`).
+(see `output_deviation`).  Each side also runs one traced repetition of
+every workload at the first seed (`--seconds 0 --trace 1`), and
+`traced_line_ok` records whether its last line is a result the benchmark
+can read (see `traced_line_ok`).
 
 The result goes to `BENCH_<label>.json` in this checkout's root: per workload, seed and end-to-end metric, each side's samples,
 median, quartiles and range, the head/base ratio of the medians, the head's
@@ -94,6 +97,37 @@ def bench_once(tree, workload, seed, seconds):
         if line.startswith("machine: "):
             machine = json.loads(line[len("machine: "):])
     return json.loads(lines[-1]), machine
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def traced_line_ok(stdout):
+    """Whether the last line of a traced perfbench run's output parses as
+    strict JSON (NaN and Infinity rejected) into a result whose metrics are
+    all finite numbers; a missing binding or an uncounted byte total makes
+    its metric null, which fails here."""
+    lines = stdout.strip().splitlines()
+    try:
+        metrics = json.loads(lines[-1], parse_constant=_reject_constant)["metrics"]
+        values = [m["value"] for m in metrics.values()]
+    except (IndexError, ValueError, KeyError, TypeError, AttributeError):
+        return False
+    return bool(values) and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        for v in values
+    )
+
+
+def traced_once(tree, workload, seed):
+    """traced_line_ok of one traced repetition of `workload` on `tree`."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", "0", "--trace", "1"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    return traced_line_ok(proc.stdout)
 
 
 def job_usage(tree, wl, seed, steps, out):
@@ -264,10 +298,13 @@ def main(argv=None):
                     )
                     for metric, better in metrics
                 }
-        usage, identical, deviation = {}, {}, {}
+        usage, identical, deviation, traced = {}, {}, {}, {}
         for name, wl in sorted(WORKLOADS.items()):
             out = {tag: os.path.join(tmp, f"{tag}-{name}") for tag in sides}
             seed = args.seeds[0]
+            traced[name] = {
+                tag: traced_once(tree, name, seed) for tag, tree in sides.items()
+            }
             usage[name] = {
                 tag: {
                     "setup_job": job_usage(tree, wl, seed, 1, out[tag] + "-setup"),
@@ -300,6 +337,7 @@ def main(argv=None):
         "job_usage": usage,
         "outputs_identical": identical,
         "outputs_max_rel_dev": deviation,
+        "traced_line_ok": traced,
     }
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
