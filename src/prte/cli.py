@@ -105,7 +105,11 @@ def _load_config(path):
         interpolation=None, inline_comment_prefixes=("#", ";")
     )
     cp.optionxform = str
-    if not cp.read(path):
+    try:
+        found = cp.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from exc
+    if not found:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in cp.sections():
         if section not in _SCHEMA:

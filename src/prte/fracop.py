@@ -48,6 +48,9 @@ HG_BLOCK = 2048
 #: HG_COARSE_FACTOR times the lattice spacing
 HG_FAR_FACTOR = 8.0
 HG_COARSE_FACTOR = 4.0
+#: targets per block of the exterior frame sum (memory control: a d = 3
+#: n = 128 frame has about 64k points)
+HG_TAIL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -416,11 +419,21 @@ def hg_kernel(hg, v, vp):
     The regularized interaction 1/delta_g between plane points, broadcasting
     over leading axes of v and vp (components on the last axis).
     """
+    vp = np.asarray(vp, dtype=float)
+    return _hg_kernel(hg, v, vp, _bracket_sq(vp))
+
+
+def _bracket_sq(vp):
+    """1 + |vp|^2 over the last axis: the source points' term of `hg_kernel`,
+    which callers with many targets compute once."""
+    return 1.0 + np.sum(vp * vp, axis=-1)
+
+
+def _hg_kernel(hg, v, vp, brp2):
+    """`hg_kernel` with brp2 = _bracket_sq(vp) given."""
     g, alpha = hg.g, hg.base.alpha
     v = np.asarray(v, dtype=float)
-    vp = np.asarray(vp, dtype=float)
-    br2 = 1.0 + np.sum(v * v, axis=-1)
-    brp2 = 1.0 + np.sum(vp * vp, axis=-1)
+    br2 = _bracket_sq(v)
     diff = v - vp
     q = (1.0 - g) ** 2 * br2 * brp2 + 4.0 * g * np.sum(diff * diff, axis=-1)
     return (1.0 + g) * q ** (-alpha)
@@ -468,9 +481,12 @@ def _hg_exterior_tail(grid, hg, targets_pts):
         fx, fy = np.meshgrid(ax, ax, indexing="ij")
         keep = (np.abs(fx) >= L) | (np.abs(fy) >= L)
         frame = np.stack([fx[keep], fy[keep]], axis=-1)
+    frame_br2 = _bracket_sq(frame)
     tails = np.empty(len(targets_pts))
-    for i, v in enumerate(targets_pts):
-        tails[i] = np.sum(hg_kernel(hg, v[None, :], frame)) * hc**n
+    for start in range(0, len(targets_pts), HG_TAIL_BLOCK):
+        v = targets_pts[start : start + HG_TAIL_BLOCK, None, :]
+        kern = _hg_kernel(hg, v, frame, frame_br2)
+        tails[start : start + HG_TAIL_BLOCK] = np.sum(kern, axis=1) * hc**n
     # beyond Rf the kernel is (1+g) (A_inf |v'|^2)^{-alpha} (1 + O(|v|/|v'|))
     br2 = 1.0 + np.sum(targets_pts * targets_pts, axis=-1)
     a_inf = (1.0 - g) ** 2 * br2 + 4.0 * g
@@ -506,10 +522,11 @@ def frac_lap_g(grid, f, hg, targets=None):
         out_shape = (len(t_idx),)
     tpts = pts[t_idx]
     vol = grid.cell_volume()
+    pts_br2 = _bracket_sq(pts)
     out = np.empty(len(t_idx))
     for start in range(0, len(t_idx), HG_BLOCK):
         sl = slice(start, start + HG_BLOCK)
-        kern = hg_kernel(hg, tpts[sl][:, None, :], pts[None, :, :])
+        kern = _hg_kernel(hg, tpts[sl][:, None, :], pts, pts_br2)
         kern[np.arange(len(kern)), t_idx[sl]] = 0.0  # punctured cell handled below
         out[sl] = -vol * (kern @ fflat - kern.sum(axis=1) * fflat[t_idx[sl]])
     out += _hg_center_correction(grid, hg, tpts, lap[t_idx])

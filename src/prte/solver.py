@@ -31,28 +31,34 @@ grid.  H equals E off the Nyquist planes; on them it is the fold that taking
 the real part of the inverse transform applies, cos((theta.k_N) dt/2) times
 the phase of the other components (see `_transport_table`).  The two
 half-steps that meet between consecutive steps fuse into one multiply by
-H*H.  Scattering acts on the spectrum's real and imaginary parts as one real
-batch of rows, each weighted by its Parseval weight where physical-space
-calls weight every row by the cell volume.  The per-step checks read the
-spectrum (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
-half-step and irfftn run only when a diagnostics row or a snapshot needs
-physical values.  `transport_step` is a one-step wrapper over the same
-table, and `strang_step_energy` is the one observed step of a `run` to
-t = dt.  A study that needs the state after every step subscribes to `run`
-through its `observe` argument instead of marching again.
+H*H.  Scattering acts on the spectrum's rows, each weighted by its Parseval
+weight where physical-space calls weight every row by the cell volume.  The
+d = 2 sphere-spectral engine steps the complex rows themselves, in place: one
+complex fft along the angle axis, the per-degree masses from the bin powers,
+a multiply by the even table exp(lambda_|k| dt) over the fft bins, one ifft.
+Physical (real) rows are packed two to a complex row for it.  The other
+engines act on the real and imaginary parts as one real batch of rows.  The
+per-step checks read the spectrum (mass from the k = 0 row, where H = 1; L2
+by Parseval), and the last half-step and irfftn run only when a diagnostics
+row or a snapshot needs physical values.  `transport_step` is a one-step
+wrapper over the same table, and `strang_step_energy` is the one observed
+step of a `run` to t = dt.  A study that needs the state after every step
+subscribes to `run` through its `observe` argument instead of marching
+again.
 
-Each `run`, and each one-step call, builds its own scattering engine for
-its one dt, and the engine lives as long as that call.  Whatever depends on
-dt is computed when it is built: the spectral engine's per-mode factors and
-decay integrals, the projected engine's dt bound (a dt over it fails there,
-before the first step), its map M and its H^s form.  Each engine keeps a
-workspace (see `_Engine`): the batch of rows and the batch-sized arrays its
-substep needs, built on first use and kept for the engine's life, so a
-march allocates them once instead of every step.  Every batch-sized
-temporary of the substep goes through it by numpy's `out=` as the same FFT,
-BLAS or ufunc call on the same operands, so no number moves.  The caller's
-arrays are never written: `scatter_l2` and `scatter_spectrum` copy their
-input into the batch, once per substep.  An emit's last half-step and the
+Each `run`, and each one-step call, builds its own scattering engine for its
+one dt, and the engine lives as long as that call.  Whatever depends on dt is
+computed when it is built: the spectral engine's per-mode factors and decay
+integrals, the projected engine's dt bound (a dt over it fails there, before
+the first step), its map M and its H^s form.  Each engine keeps a workspace
+(see `_Engine`): the batch of rows and the batch-sized arrays its substep
+needs, built on first use and kept for the engine's life, so a march
+allocates them once instead of every step.  Every batch-sized temporary of
+the substep goes through it by numpy's `out=` as the same FFT, BLAS or ufunc
+call on the same operands, so no number moves.  The caller's fields are never
+written: `scatter_l2` copies its input into the batch, once per substep, and
+`scatter_spectrum` steps the march's own spectrum (the d = 2 spectral engine
+in place, the others through the batch).  An emit's last half-step and the
 complex passes of its irfftn run in the batch's bytes too; the physical
 field is a new array whenever the observer or a snapshot may keep it, so
 `observe` always gets a fresh field.
@@ -326,10 +332,10 @@ def _dot_theta(out, per_axis, theta):
 
 
 def _parseval_weights(spatial):
-    """One weight per rfftn bin: sum_k w_k |U_k|^2 = cell_volume sum_x |u_x|^2."""
+    """One weight per rfftn bin, the spectrum's rows in C order:
+    sum_k w_k |U_k|^2 = cell_volume sum_x |u_x|^2."""
     g = spatial
-    # the real and the imaginary batch rows carry the same weights
-    return np.tile(parseval_weights(g.m, g.d, g.cell_volume()).ravel(), 2)
+    return parseval_weights(g.m, g.d, g.cell_volume()).ravel()
 
 
 def transport_step(u, dt):
@@ -373,7 +379,7 @@ def _row_sum(row_weight, a):
     """
     sum_r row_weight_r a[r] over every axis of a but the last.  row_weight is
     one number per row, or one scalar for all: the cell volume for fields in
-    physical space, the Parseval weights for the spectrum's real batch.
+    physical space, the Parseval weights for the spectrum's rows.
     """
     a = a.reshape(-1, a.shape[-1])
     w = np.ravel(row_weight)
@@ -401,17 +407,19 @@ class _Engine:
     out as a view of any shape and dtype, so an array whose contents are dead
     lends its bytes to the next temporary.  The slots:
 
-    ``batch``  the real (rows, n) batch a substep scatters in place;
-    ``out``    a second array at least the batch's size: the rfft bins
-               (d=2 spectral), the product with the basis (d=3 spectral),
-               or the substep's output (projected);
+    ``batch``  the (rows, n) batch a substep scatters in place: real, or
+               at d=2 spectral the complex rows packed from real ones;
+    ``out``    a second array at least the batch's size: the bin powers
+               and then the unpacked output (d=2 spectral), the product
+               with the basis (d=3 spectral), or the substep's output
+               (projected);
     ``coef``   harmonic coefficients (d=3 spectral) or plane half-spectra
                (projected, FFT route).
 
     All are dead between steps, so an emit (`field`, `norms`) builds each
     field and its norms in them.  What the engine returns is valid until its
     next call.  Each engine has one substep, `_step(batch, row_weight)`: it
-    scatters the loaded (rows, n) batch, which it may overwrite, and returns
+    scatters the batch, which it may overwrite, and returns
     the new values, the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau,
     and ||u||^2 after it.  An engine built with dt = None has no substep and
     serves `functionals` only.
@@ -458,15 +466,18 @@ class _Engine:
 
     def scatter_spectrum(self, spec, row_weight):
         """
-        Scattering over dt on the spectrum, in place.  The engines are
-        real-linear and the same at every x, so they act on the real and
-        imaginary parts as one real batch of rows.  Returns the substep's
-        (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it.
+        Scattering over dt on the spectrum, in place; row_weight weighs each
+        row of spec, or is one scalar for all.  The engines are real-linear
+        and the same at every x, so here they act on the real and imaginary
+        parts as one real batch of rows, each part with its row's weight
+        (the d = 2 spectral engine steps the complex rows themselves).
+        Returns the substep's (int ||u||^2 dtau, int ||u||^2_Hs dtau) and
+        ||u||^2 after it.
         """
         rows = spec.size // spec.shape[-1]
-        out, l2_int, hs_int, l2sq = self._step(
-            self._load(spec.real, spec.imag), row_weight
-        )
+        w = np.ravel(row_weight)
+        w = np.tile(w, 2) if w.size > 1 else w
+        out, l2_int, hs_int, l2sq = self._step(self._load(spec.real, spec.imag), w)
         spec.real = out[:rows].reshape(spec.shape)
         spec.imag = out[rows:].reshape(spec.shape)
         return l2_int, hs_int, l2sq
@@ -496,9 +507,19 @@ class _Engine:
 
 class _SpectralEngine(_Engine):
     """
-    Exact exponential integrator in the angular eigenbasis.  The d = 2 engine
-    is diagonal on every resolvable circular bin, so its lmax is
-    angles // 2 whatever the config's lmax says.
+    Exact exponential integrator in the angular eigenbasis.
+
+    At d = 2 that basis is the circular Fourier modes, and the substep steps
+    complex rows in place: an fft along the angle axis, the weighted bin
+    powers |Z_k|^2 folded to per-degree masses over k = +-l, a multiply by
+    the even real table exp(lambda_|k| dt) over the fft bins, and an ifft.
+    The marcher's spectrum is stepped as it is, one complex row per spatial
+    bin.  A physical field's real rows are packed two to a complex row
+    a + ib: the table is even and real, so the step maps a and b each as it
+    would alone (see `_pack` and `_bin_masses`).  The engine is diagonal on
+    every resolvable circular bin, so its lmax is angles // 2 whatever the
+    config's lmax says.  At d = 3 the substep projects a real batch onto
+    the real harmonics.
     """
 
     def __init__(self, kernel, angular, lmax, dt):
@@ -515,8 +536,13 @@ class _SpectralEngine(_Engine):
         self.D0, self.D1, with_b1 = energy_constants(kernel)
         self.sigma = _sigma_table(kernel, self.lmax, with_b1)
         if self.d == 2:
-            # Parseval weights of the angular rfft bins
-            self.bin_weight = parseval_weights(m, 1, 2.0 * np.pi / m)
+            k = np.arange(m)
+            # |k| of each fft bin in fftfreq order: the degree it counts to
+            self.bin_degree = np.minimum(k, m - k)
+            # the circle rule weighs every node 2 pi / m, and
+            # (2 pi / m) sum_j |z_j|^2 = (2 pi / m) / m sum_k |Z_k|^2
+            self.node_weight = 2.0 * np.pi / m
+            self.bin_scale = self.node_weight / m
         else:
             self.basis = basis_at_directions(3, angular.nodes, self.lmax)
             self.proj = angular.weights[:, None] * self.basis
@@ -532,30 +558,88 @@ class _SpectralEngine(_Engine):
             self.factor = np.expm1(lam[self.degrees] * dt)
         else:
             self.factor = np.exp(lam * dt)
+            # the factor of each fft bin, once per float of a complex row
+            self.bin_factor = np.repeat(self.factor[self.bin_degree], 2)
         # int_0^dt e^{2 lam t} dt per degree, stable at lam = 0
         self.decay = np.full_like(lam, dt)
         nz = lam != 0.0
         self.decay[nz] = np.expm1(2.0 * lam[nz] * dt) / (2.0 * lam[nz])
 
-    def _spectrum(self, flat):
-        """Angular transform into the workspace: rfft bins (d=2) or harmonic
-        coefficients (d=3) of the (rows, n) array flat."""
-        if self.d == 2:
-            shape = (flat.shape[0], flat.shape[1] // 2 + 1)
-            return np.fft.rfft(flat, axis=-1, out=self._take("out", shape, complex))
+    def scatter_l2(self, values, row_weight):
+        if self.d == 3:
+            return super().scatter_l2(values, row_weight)
+        z, l2_int, hs_int, l2sq = self._step(*self._pack(values, row_weight))
+        rows, n = values.size // values.shape[-1], values.shape[-1]
+        pairs = z.shape[0]
+        # the bin powers are consumed: the output takes their bytes
+        out = self._take("out", (rows, n))
+        np.copyto(out[:pairs], z.real)
+        np.copyto(out[pairs:], z.imag[: rows - pairs])
+        return out.reshape(values.shape), l2_int, hs_int, l2sq
+
+    def scatter_spectrum(self, spec, row_weight):
+        if self.d == 3:
+            return super().scatter_spectrum(spec, row_weight)
+        return self._step(spec, row_weight)[1:]
+
+    def _pack(self, values, row_weight):
+        """
+        The real rows of values, (..., n), packed two to a complex row of
+        the batch: row p is a + ib with a = row p and b = row p + pairs, and
+        b = 0 in the last pair when the row count is odd.  Returns the batch
+        and the weights `_bin_masses` takes: one scalar, or the mean of each
+        pair's two row weights and half their difference.
+        """
+        n = values.shape[-1]
+        flat = values.reshape(-1, n)
+        rows = flat.shape[0]
+        pairs = (rows + 1) // 2
+        z = self._take("batch", (pairs, n), complex)
+        np.copyto(z.real, flat[:pairs])
+        np.copyto(z.imag[: rows - pairs], flat[pairs:])
+        z.imag[rows - pairs :] = 0.0
+        w = np.ravel(row_weight)
+        if w.size == 1:
+            return z, row_weight, None
+        wa = w[:pairs]
+        wb = wa.copy()
+        wb[: rows - pairs] = w[pairs:]
+        return z, 0.5 * (wa + wb), 0.5 * (wa - wb)
+
+    def _bin_masses(self, z, row_weight, skew):
+        """
+        Per-degree masses of the complex (..., n) array z, which is replaced
+        by its fft along the angle axis.  Row r weighs row_weight_r (or one
+        scalar for all).  A row's |Z_l|^2 + |Z_-l|^2 is the sum of its real
+        and imaginary parts' masses of degree l, so the bin powers fold to
+        masses.  When the real and imaginary parts weigh
+        w_a = row_weight + skew and w_b = row_weight - skew instead, their
+        bins are A_k = (Z_k + conj Z_-k) / 2 and B_k = (Z_k - conj Z_-k) / (2i),
+        and w_a |A_k|^2 + w_b |B_k|^2 summed over k = +-l is the fold of
+        row_weight |Z_k|^2 + skew Re(Z_k Z_-k).  The powers take the "out"
+        slot.
+        """
+        np.fft.fft(z, axis=-1, out=z)
+        parts = z.view(float)
+        sq = np.square(parts, out=self._take("out", parts.shape))
+        per_bin = _row_sum(row_weight, sq).reshape(-1, 2).sum(axis=1)
+        if skew is not None:
+            n = z.shape[-1]
+            per_bin += _row_sum(skew, (z * z[..., -np.arange(n) % n]).real)
+        masses = np.bincount(self.bin_degree, per_bin, minlength=self.lmax + 1)
+        return masses * self.bin_scale
+
+    def _coefficients(self, flat):
+        """Harmonic coefficients (d=3) of the (rows, n) array flat, in the
+        "coef" slot."""
         shape = (flat.shape[0], self.proj.shape[1])
         return np.matmul(flat, self.proj, out=self._take("coef", shape))
 
     def _masses(self, spec, flat, row_weight):
         """
-        Per-degree mode masses plus the beyond-band remainder (d=3 only).
-        The squares take workspace bytes that are dead here: the batch's at
-        d=2, where the rfft has consumed it, and the output's at d=3.
+        Per-degree harmonic masses (d=3) plus the beyond-band remainder.  The
+        squares take the output's bytes, which are dead here.
         """
-        if self.d == 2:
-            power = np.abs(spec, out=self._take("batch", spec.shape))
-            power = _row_sum(row_weight, np.square(power, out=power))
-            return self.bin_weight * power, 0.0
         sq = np.square(spec, out=self._take("out", spec.shape))
         per_mode = _row_sum(row_weight, sq)
         resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
@@ -566,26 +650,45 @@ class _SpectralEngine(_Engine):
 
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
-        flat = values.reshape(-1, values.shape[-1])
-        resolved, unresolved = self._masses(self._spectrum(flat), flat, row_weight)
+        if self.d == 2:
+            resolved = self._bin_masses(*self._pack(values, row_weight))
+            unresolved = 0.0
+        else:
+            flat = values.reshape(-1, values.shape[-1])
+            spec = self._coefficients(flat)
+            resolved, unresolved = self._masses(spec, flat, row_weight)
         l2sq = float(resolved.sum()) + unresolved
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
-    def _step(self, flat, row_weight):
-        spec = self._spectrum(flat)
-        resolved, unresolved = self._masses(spec, flat, row_weight)
-        np.multiply(spec, self.factor, out=spec)
+    def _step(self, batch, row_weight, skew=None):
+        """
+        The substep.  At d = 2 batch is a complex (..., n) array, stepped
+        in place, with `_bin_masses`' weights; at d = 3 it is a real
+        (rows, n) batch.  The post-step ||u||^2 is taken from the stepped
+        values.
+        """
         if self.d == 2:
-            out = np.fft.irfft(spec, n=flat.shape[-1], axis=-1, out=flat)
-            # the bins are consumed: the squares take their bytes
-            scratch = self._take("out", out.shape)
+            resolved, unresolved = self._bin_masses(batch, row_weight, skew), 0.0
+            parts = batch.view(float)
+            np.multiply(parts, self.bin_factor, out=parts)
+            out = np.fft.ifft(batch, axis=-1, out=batch)
+            per_row = np.einsum("...j,...j->...", parts, parts)
+            l2sq = float(_row_sum(row_weight, per_row[..., None])[0])
+            if skew is not None:
+                re = np.einsum("...j,...j->...", out.real, out.real)
+                im = np.einsum("...j,...j->...", out.imag, out.imag)
+                l2sq += float(_row_sum(skew, (re - im)[..., None])[0])
+            l2sq *= self.node_weight
         else:
-            scratch = np.matmul(spec, self.basis.T, out=self._take("out", flat.shape))
-            out = np.add(flat, scratch, out=flat)
+            spec = self._coefficients(batch)
+            resolved, unresolved = self._masses(spec, batch, row_weight)
+            np.multiply(spec, self.factor, out=spec)
+            scratch = np.matmul(spec, self.basis.T, out=self._take("out", batch.shape))
+            out = np.add(batch, scratch, out=batch)
+            l2sq = _norm_sq(out, self.angular.weights, row_weight, scratch)
         l2_int = float(np.sum(resolved * self.decay)) + unresolved * self.dt
         hs_int = float(np.sum(self.sigma * resolved * self.decay))
-        l2sq = _norm_sq(out, self.angular.weights, row_weight, scratch)
         return out, l2_int, hs_int, l2sq
 
 

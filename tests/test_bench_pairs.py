@@ -1,5 +1,6 @@
 """`tools/bench_pairs.py`: how far two sides' output directories are apart,
-and whether a traced run's last line is a result the benchmark can read."""
+whether a traced run's last line is a result the benchmark can read, and
+the counts of a tier-1 run's summary line."""
 
 import importlib.util
 import json
@@ -108,3 +109,23 @@ def result_line(**metrics):
 )
 def test_traced_line_ok(bench_pairs, stdout, ok):
     assert bench_pairs.traced_line_ok(stdout) is ok
+
+
+@pytest.mark.parametrize(
+    "stdout, counts",
+    [
+        ("....\n354 passed in 76.75s (0:01:16)\n", (354, 0, 0, 0)),
+        (
+            "F.s\nFAILED tests/test_x.py::test_y - assert 0\n"
+            "1 failed, 352 passed, 2 skipped, 3 warnings in 70.10s (0:01:10)\n",
+            (352, 1, 2, 0),
+        ),
+        ("E\n1 error in 0.31s\n", (0, 0, 0, 1)),
+        ("3 passed, 2 errors in 1.00s\n", (3, 0, 0, 2)),
+        ("", (0, 0, 0, 0)),
+    ],
+    ids=["passed", "mixed", "one-error", "errors", "empty"],
+)
+def test_pytest_counts(bench_pairs, stdout, counts):
+    got = bench_pairs.pytest_counts(stdout)
+    assert (got["passed"], got["failed"], got["skipped"], got["errors"]) == counts

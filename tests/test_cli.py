@@ -160,6 +160,14 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
 
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        """A config that does not decode is a config error, not a traceback."""
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff\xfe[run]\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, err
+
     def test_two_point_ladder(self, tmp_path):
         cfg = write_ini(tmp_path, HG_STUDY.replace("ladder = 0.8,0.9,0.95", "ladder = 0.8,0.9"))
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG

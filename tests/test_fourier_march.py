@@ -19,9 +19,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prte.fracop import PlaneGrid
+from prte.fracop import PlaneGrid, parseval_weights
 from prte.kernels import KernelSpec
-from prte.scatter import sphere_quadrature
+from prte.scatter import (
+    basis_at_directions,
+    funk_hecke_eigs,
+    mode_degrees,
+    sphere_quadrature,
+)
 from prte.solver import (
     PhaseField,
     ProjectedAngularGrid,
@@ -270,3 +275,118 @@ def test_input_memory_order_does_not_matter():
     want, _ = run(cfg, u0)
     got, _ = run(cfg, PhaseField(grid, angular, np.asfortranarray(u0.values)))
     assert rel_dev(got[-1].values, want[-1].values) <= REL_TOL
+
+
+# ---------------------------------------------------------------------------
+# the d = 2 complex substep against the dense real map
+
+#: with and without a Nyquist bin
+D2_ANGLES = (32, 31)
+
+
+def _d2_engine(angles):
+    grid = SpatialGrid(2, 8.0, 4)
+    angular = sphere_quadrature(2, angles)
+    u = PhaseField(grid, angular, np.ones(grid.shape + (angles,)))
+    cfg = SolverConfig(kernel=SPEC2, dt=0.05, t_end=0.05, lmax=8)
+    return _engine_for(cfg, u)
+
+
+def dense_map_d2(eng):
+    """
+    I + proj diag(expm1(lambda dt)) basis^T on the engine's circle rule, as
+    the row map u -> u @ map.  proj is the quadrature weights times the
+    basis over each column's discrete Gram entry: with even angles the
+    Nyquist sine is +-1 at the midpoint nodes (Gram entry 2) and the Nyquist
+    cosine is 0 there, so it drops out; every other entry is 1.
+    """
+    w = eng.angular.weights
+    basis = basis_at_directions(2, eng.angular.nodes, eng.lmax)
+    gram = np.einsum("j,jc,jc->c", w, basis, basis)
+    keep = gram > 0.5
+    basis = basis[:, keep]
+    proj = w[:, None] * basis / gram[keep]
+    lam = funk_hecke_eigs(eng.kernel, eng.lmax).lambdas
+    grow = np.expm1(lam[mode_degrees(2, eng.lmax)[keep]] * eng.dt)
+    return np.eye(len(w)) + (proj * grow) @ basis.T
+
+
+def rfft_masses(rows, row_weight):
+    """Per-degree masses of real (R, n) rows by the rfft route: Parseval
+    weights of the rfft bins times the row-weighted bin powers."""
+    n = rows.shape[-1]
+    power = np.abs(np.fft.rfft(rows)) ** 2
+    power = np.broadcast_to(row_weight, power.shape[:1]) @ power
+    return parseval_weights(n, 1, 2.0 * np.pi / n) * power
+
+
+def norm_sq(rows, row_weight, angular):
+    """sum_r row_weight_r sum_j w_j |rows[r, j]|^2."""
+    per_row = np.abs(rows) ** 2 @ angular.weights
+    return float(np.broadcast_to(row_weight, per_row.shape) @ per_row)
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= REL_TOL * abs(want), f"{got!r} != {want!r}"
+
+
+def _row_weights(kind, rows, rng):
+    return 0.37 if kind == "scalar" else rng.random(rows) + 0.5
+
+
+@pytest.mark.parametrize("angles", D2_ANGLES)
+def test_d2_scatter_spectrum_matches_dense_map(angles):
+    """The spectrum is stepped in place: each complex row's real and
+    imaginary parts by the real map, with the row's Parseval weight."""
+    eng = _d2_engine(angles)
+    rng = np.random.default_rng(31)
+    shape = (5, 3, angles)
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    weight = rng.random(15) + 0.5
+    flat = spec.reshape(-1, angles)
+    big = dense_map_d2(eng)
+    want = flat.real @ big + 1j * (flat.imag @ big)
+    masses = rfft_masses(flat.real, weight) + rfft_masses(flat.imag, weight)
+    l2_int, hs_int, l2sq = eng.scatter_spectrum(spec, weight)
+    assert rel_dev(spec.reshape(-1, angles), want) <= REL_TOL
+    assert_close(l2_int, float(np.sum(masses * eng.decay)))
+    assert_close(hs_int, float(np.sum(eng.sigma * masses * eng.decay)))
+    assert_close(l2sq, norm_sq(want, weight, eng.angular))
+
+
+@pytest.mark.parametrize("angles", D2_ANGLES)
+@pytest.mark.parametrize("rows", [6, 7])
+@pytest.mark.parametrize("weights", ["scalar", "per-row"])
+def test_d2_scatter_l2_matches_dense_map(angles, rows, weights):
+    """Physical rows, packed two to a complex row (one zero row padded when
+    the count is odd), come out as the dense map makes them; rows with
+    different weights in one pair are split by their bins."""
+    eng = _d2_engine(angles)
+    rng = np.random.default_rng(rows)
+    values = rng.random((rows, angles))
+    weight = _row_weights(weights, rows, rng)
+    want = values @ dense_map_d2(eng)
+    masses = rfft_masses(values, weight)
+    out, l2_int, hs_int, l2sq = eng.scatter_l2(values, weight)
+    assert out.shape == values.shape
+    assert rel_dev(out, want) <= REL_TOL
+    assert_close(l2_int, float(np.sum(masses * eng.decay)))
+    assert_close(hs_int, float(np.sum(eng.sigma * masses * eng.decay)))
+    assert_close(l2sq, norm_sq(want, weight, eng.angular))
+
+
+@pytest.mark.parametrize("angles", D2_ANGLES)
+@pytest.mark.parametrize("rows", [6, 7])
+@pytest.mark.parametrize("weights", ["scalar", "per-row"])
+def test_d2_functionals_and_masses_match_rfft_route(angles, rows, weights):
+    eng = _d2_engine(angles)
+    rng = np.random.default_rng(40 + rows)
+    values = rng.random((rows, angles))
+    weight = _row_weights(weights, rows, rng)
+    masses = rfft_masses(values, weight)
+    assert rel_dev(eng._bin_masses(*eng._pack(values, weight)), masses) <= REL_TOL
+    l2sq, hssq = eng.functionals(values, weight)
+    assert_close(l2sq, float(masses.sum()))
+    assert_close(hssq, float(np.sum(eng.sigma * masses)))
+    # the masses sum to the quadrature norm of the values
+    assert_close(l2sq, norm_sq(values, weight, eng.angular))

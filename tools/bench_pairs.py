@@ -21,7 +21,9 @@ Where they did not, `outputs_max_rel_dev` records how far apart they are
 (see `output_deviation`).  Each side also runs one traced repetition of
 every workload at the first seed (`--seconds 0 --trace 1`), and
 `traced_line_ok` records whether its last line is a result the benchmark
-can read (see `traced_line_ok`).
+can read (see `traced_line_ok`).  Last, each side runs the tier-1 suite
+(`TIER1_COMMAND`) once, and `tier1` records its wall time and its passed,
+failed, skipped and error counts.
 
 The result goes to `BENCH_<label>.json` in this checkout's root: per workload, seed and end-to-end metric, each side's samples,
 median, quartiles and range, the head/base ratio of the medians, the head's
@@ -35,11 +37,13 @@ import filecmp
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -50,6 +54,8 @@ from workloads import WORKLOADS, beam_for_seed, config_text  # noqa: E402
 
 #: a clear gain wins at least this share of the pairs
 WIN_SHARE = 0.9
+#: the tier-1 suite, run from the root of a side with its src/ on PYTHONPATH
+TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def end_to_end_metrics():
@@ -147,6 +153,28 @@ def job_usage(tree, wl, seed, steps, out):
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"{wl.name} ({steps} steps) failed on {tree}")
     return {"minflt": usage.ru_minflt, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+
+
+def pytest_counts(stdout):
+    """{passed, failed, skipped, errors} from the summary line of a pytest
+    run's output, the last line that reports a count (0 where it has none)."""
+    counts = dict.fromkeys(("passed", "failed", "skipped", "errors"), 0)
+    for line in reversed(stdout.strip().splitlines()):
+        found = re.findall(r"(\d+) (passed|failed|skipped|errors?)\b", line)
+        if found:
+            for n, word in found:
+                counts["errors" if word.startswith("error") else word] = int(n)
+            break
+    return counts
+
+
+def tier1_once(tree):
+    """Wall time (s) and pytest_counts of one tier-1 run on `tree`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_COMMAND], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - start, **pytest_counts(proc.stdout)}
 
 
 def same_outputs(a, b):
@@ -318,6 +346,7 @@ def main(argv=None):
             for path in out.values():
                 shutil.rmtree(path, ignore_errors=True)
                 shutil.rmtree(path + "-setup", ignore_errors=True)
+        tier1 = {tag: tier1_once(tree) for tag, tree in sides.items()}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     report = {
@@ -338,6 +367,7 @@ def main(argv=None):
         "outputs_identical": identical,
         "outputs_max_rel_dev": deviation,
         "traced_line_ok": traced,
+        "tier1": {"command": "python3 " + " ".join(TIER1_COMMAND), **tier1},
     }
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
