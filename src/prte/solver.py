@@ -33,14 +33,18 @@ the phase of the other components (see `_transport_table`).  The two
 half-steps that meet between consecutive steps fuse into one multiply by
 H*H.  Scattering acts on the spectrum's rows, each weighted by its Parseval
 weight where physical-space calls weight every row by the cell volume.  The
-d = 2 sphere-spectral engine steps the complex rows themselves, in place: one
-complex fft along the angle axis, the per-degree masses from the bin powers,
-a multiply by the even table exp(lambda_|k| dt) over the fft bins, one ifft.
-Physical (real) rows are packed two to a complex row for it.  The other
-engines act on the real and imaginary parts as one real batch of rows.  The
-per-step checks read the spectrum (mass from the k = 0 row, where H = 1; L2
-by Parseval), and the last half-step and irfftn run only when a diagnostics
-row or a snapshot needs physical values.  `transport_step` is a one-step
+sphere-spectral engine steps the complex rows themselves, in place.  At
+d = 2 that is one complex fft along the angle axis, the per-degree masses
+from the bin powers, a multiply by the even table exp(lambda_|k| dt) over the
+fft bins, one ifft; physical (real) rows are packed two to a complex row for
+it.  At d = 3 it goes FOLD_BLOCK_ROWS rows at a time: each block's real and
+imaginary parts are folded about the equator into north + south and
+north - south, which the even and the odd harmonics (parity (-1)^(l + m))
+project with two half-size products, and unfolded after the synthesis.  The
+projected engine acts on the real and imaginary parts as one real batch of
+rows.  The per-step checks read the spectrum (mass from the k = 0 row, where
+H = 1; L2 by Parseval), and the last half-step and irfftn run only when a
+diagnostics row or a snapshot needs physical values.  `transport_step` is a one-step
 wrapper over the same table, and `strang_step_energy` is the one observed
 step of a `run` to t = dt.  A study that needs the state after every step
 subscribes to `run` through its `observe` argument instead of marching
@@ -53,12 +57,13 @@ integrals, the projected engine's dt bound (a dt over it fails there, before
 the first step), its map M and its H^s form.  Each engine keeps a workspace
 (see `_Engine`): the batch of rows and the batch-sized arrays its substep
 needs, built on first use and kept for the engine's life, so a march
-allocates them once instead of every step.  Every batch-sized temporary of
-the substep goes through it by numpy's `out=` as the same FFT, BLAS or ufunc
-call on the same operands, so no number moves.  The caller's fields are never
+allocates them once instead of every step (the d = 3 spectral substep needs
+only block-sized ones).  Every batch-sized temporary of the substep goes
+through it by numpy's `out=` as the same FFT, BLAS or ufunc call on the same
+operands, so no number moves.  The caller's fields are never
 written: `scatter_l2` copies its input into the batch, once per substep, and
-`scatter_spectrum` steps the march's own spectrum (the d = 2 spectral engine
-in place, the others through the batch).  An emit's last half-step and the
+`scatter_spectrum` steps the march's own spectrum (the spectral engine in
+place, the projected one through the batch).  An emit's last half-step and the
 complex passes of its irfftn run in the batch's bytes too; the physical
 field is a new array whenever the observer or a snapshot may keep it, so
 `observe` always gets a fresh field.
@@ -116,6 +121,12 @@ L2_STEP_TOL = 1e-10
 MASS_TOL = 1e-8
 #: post-step growth that trips the projected-backend stability check
 GROWTH_TOL = 1e-8
+#: spectrum rows a d = 3 sphere-spectral substep folds and steps at a time.
+#: On the 16 x 32 node rule at lmax 15 (2304 complex rows), blocks of 32,
+#: 64, 128, 256 and 512 rows took 60, 58, 65, 69 and 87 ms a substep on
+#: one BLAS thread (2-core Xeon, numpy 2.4.6): the block's folded rows stay
+#: in cache between the fold, the four products and the unfold
+FOLD_BLOCK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +325,10 @@ def _transport_table(spatial, angular, tau):
     stream[nyq] = 0.0
     phase = np.empty(g.shape[:-1] + (nyq + 1, theta.shape[0]))
     _dot_theta(phase, stream, theta)
-    table = np.multiply(phase, -1j * tau)
-    np.exp(table, out=table)
+    phase *= -tau
+    table = np.empty(phase.shape, complex)
+    np.cos(phase, out=table.real)
+    np.sin(phase, out=table.imag)
     _dot_theta(phase, k - stream, theta)
     phase *= tau
     table *= np.cos(phase, out=phase)
@@ -410,13 +423,15 @@ class _Engine:
     ``batch``  the (rows, n) batch a substep scatters in place: real, or
                at d=2 spectral the complex rows packed from real ones;
     ``out``    a second array at least the batch's size: the bin powers
-               and then the unpacked output (d=2 spectral), the product
-               with the basis (d=3 spectral), or the substep's output
-               (projected);
-    ``coef``   harmonic coefficients (d=3 spectral) or plane half-spectra
-               (projected, FFT route).
+               and then the unpacked output (d=2 spectral), or the
+               substep's output (projected);
+    ``coef``   a block's harmonic coefficients (d=3 spectral) or plane
+               half-spectra (projected, FFT route);
+    ``fold``   a block's rows folded about the equator (d=3 spectral);
+    ``synth``  a block's squares and synthesis (d=3 spectral).
 
-    All are dead between steps, so an emit (`field`, `norms`) builds each
+    The d=3 spectral slots hold one block of FOLD_BLOCK_ROWS rows, not a
+    batch.  All are dead between steps, so an emit (`field`, `norms`) builds each
     field and its norms in them.  What the engine returns is valid until its
     next call.  Each engine has one substep, `_step(batch, row_weight)`: it
     scatters the batch, which it may overwrite, and returns
@@ -470,7 +485,7 @@ class _Engine:
         row of spec, or is one scalar for all.  The engines are real-linear
         and the same at every x, so here they act on the real and imaginary
         parts as one real batch of rows, each part with its row's weight
-        (the d = 2 spectral engine steps the complex rows themselves).
+        (the spectral engine steps the complex rows themselves).
         Returns the substep's (int ||u||^2 dtau, int ||u||^2_Hs dtau) and
         ||u||^2 after it.
         """
@@ -518,8 +533,15 @@ class _SpectralEngine(_Engine):
     a + ib: the table is even and real, so the step maps a and b each as it
     would alone (see `_pack` and `_bin_masses`).  The engine is diagonal on
     every resolvable circular bin, so its lmax is angles // 2 whatever the
-    config's lmax says.  At d = 3 the substep projects a real batch onto
-    the real harmonics.
+    config's lmax says.
+
+    At d = 3 the basis is the real spherical harmonics on a ring rule
+    mirrored about the equator, and the substep steps rows, the spectrum's
+    complex ones or a real batch, in place, a block of FOLD_BLOCK_ROWS rows
+    at a time: each block is folded into its sums and differences across
+    the equator, projected by two half-size products, one per parity class
+    (-1)^(l + m), multiplied by expm1(lambda_l dt), synthesized back by two
+    more and unfolded (see `_folded`).
     """
 
     def __init__(self, kernel, angular, lmax, dt):
@@ -544,9 +566,7 @@ class _SpectralEngine(_Engine):
             self.node_weight = 2.0 * np.pi / m
             self.bin_scale = self.node_weight / m
         else:
-            self.basis = basis_at_directions(3, angular.nodes, self.lmax)
-            self.proj = angular.weights[:, None] * self.basis
-            self.degrees = mode_degrees(3, self.lmax)
+            self._fold_tables(angular)
         if dt is None:
             return
         if _null_kernel(kernel):
@@ -554,7 +574,7 @@ class _SpectralEngine(_Engine):
         else:
             lam = funk_hecke_eigs(kernel, self.lmax).lambdas
         if self.d == 3:
-            # the substep adds (coefficients * factor) @ basis^T to the values
+            # the substep adds the synthesis of coefficients * factor
             self.factor = np.expm1(lam[self.degrees] * dt)
         else:
             self.factor = np.exp(lam * dt)
@@ -564,6 +584,56 @@ class _SpectralEngine(_Engine):
         self.decay = np.full_like(lam, dt)
         nz = lam != 0.0
         self.decay[nz] = np.expm1(2.0 * lam[nz] * dt) / (2.0 * lam[nz])
+
+    def _fold_tables(self, angular):
+        """
+        The d = 3 tables of `_folded`, on the north rings only.  The nodes
+        are rings of equal size, and ring i mirrors ring rings - 1 - i under
+        z -> -z (as `polar_quadrature` builds them, exactly), so a harmonic
+        of degree l and order m takes the value (-1)^(l + m) times its north
+        value on the mirrored south node.  With an odd ring count the
+        equator ring is its own mirror image: it counts half to each side,
+        so its folded value is twice u and its north weight half its own.
+        Odd harmonics vanish there exactly, so only the even class holds it.
+        """
+        z = angular.nodes[:, 2]
+        n = len(z)
+        changes = np.flatnonzero(z != z[0])
+        az = int(changes[0]) if changes.size else n
+        rings = n // az
+        nodes = angular.nodes.reshape(rings, az, 3)
+        w = angular.weights.reshape(rings, az)
+        if not (
+            rings * az == n
+            and np.array_equal(nodes[::-1] * [1.0, 1.0, -1.0], nodes)
+            and np.array_equal(w[::-1], w)
+        ):
+            raise ParameterOutOfRange(
+                "sphere-spectral d = 3 needs rings mirrored about the equator, "
+                "as polar_quadrature builds them"
+            )
+        even_rings, odd_rings = (rings + 1) // 2, rings // 2
+        north = nodes[rings - even_rings :].reshape(-1, 3)
+        basis = basis_at_directions(3, north, self.lmax)
+        wn = w[rings - even_rings :].copy()
+        wn[: even_rings - odd_rings] *= 0.5
+        wn = wn.ravel()
+        degrees = mode_degrees(3, self.lmax)
+        order = np.abs(np.arange(len(degrees)) - degrees * (degrees + 1))
+        even = (degrees + order) % 2 == 0
+        off = (even_rings - odd_rings) * az
+        self.fold_shape = (rings, az, even_rings, odd_rings)
+        self.forward = (
+            wn[:, None] * basis[:, even],
+            wn[off:, None] * basis[off:, ~even],
+        )
+        self.synthesis = (
+            np.ascontiguousarray(2.0 * basis[:, even].T),
+            np.ascontiguousarray(2.0 * basis[off:, ~even].T),
+        )
+        self.degrees = np.concatenate([degrees[even], degrees[~even]])
+        # ||u||^2 = sum_north (wn / 2) (E^2 + O^2) over the folded rows
+        self.norm_weight = 0.5 * np.concatenate([wn, wn[off:]])
 
     def scatter_l2(self, values, row_weight):
         if self.d == 3:
@@ -578,8 +648,6 @@ class _SpectralEngine(_Engine):
         return out.reshape(values.shape), l2_int, hs_int, l2sq
 
     def scatter_spectrum(self, spec, row_weight):
-        if self.d == 3:
-            return super().scatter_spectrum(spec, row_weight)
         return self._step(spec, row_weight)[1:]
 
     def _pack(self, values, row_weight):
@@ -629,24 +697,74 @@ class _SpectralEngine(_Engine):
         masses = np.bincount(self.bin_degree, per_bin, minlength=self.lmax + 1)
         return masses * self.bin_scale
 
-    def _coefficients(self, flat):
-        """Harmonic coefficients (d=3) of the (rows, n) array flat, in the
-        "coef" slot."""
-        shape = (flat.shape[0], self.proj.shape[1])
-        return np.matmul(flat, self.proj, out=self._take("coef", shape))
+    def _folded(self, rows, row_weight, stepping):
+        """
+        Per-degree harmonic masses (d = 3) of rows, a C-ordered (..., n)
+        array, real or complex, and the beyond-band remainder; row r weighs
+        row_weight_r (or one scalar for all), on each of its real and
+        imaginary parts.  When `stepping`, rows is also scattered in place,
+        and ||u||^2 after it is returned (else None).
 
-    def _masses(self, spec, flat, row_weight):
+        It works FOLD_BLOCK_ROWS rows at a time.  A block's parts are folded
+        about the equator into [E | O] in the "fold" slot, E = north +
+        mirrored south and O = north - mirrored south, so that a projection
+        is one product with the north even-class table and one with the odd
+        (see `_fold_tables`), each half the dense one's size.  Before and
+        after the step ||u||^2 is the quadrature of E^2 + O^2 with the north
+        weights halved.  The step adds 2 basis^T times coefficients * factor
+        to E and O, which unfold back to north = (E + O) / 2 and
+        south = (E - O) / 2.
         """
-        Per-degree harmonic masses (d=3) plus the beyond-band remainder.  The
-        squares take the output's bytes, which are dead here.
-        """
-        sq = np.square(spec, out=self._take("out", spec.shape))
-        per_mode = _row_sum(row_weight, sq)
-        resolved = np.bincount(self.degrees, weights=per_mode, minlength=self.lmax + 1)
-        total = _norm_sq(
-            flat, self.angular.weights, row_weight, self._take("out", flat.shape)
-        )
-        return resolved, max(total - float(resolved.sum()), 0.0)
+        rings, az, even_rings, odd_rings = self.fold_shape
+        # a step writes rows through this view, so it may not be a copy
+        flat = rows.reshape(-1, rings * az, copy=False if stepping else None)
+        if np.iscomplexobj(flat):
+            planes = flat.view(float).reshape(-1, rings, az, 2).transpose(0, 3, 1, 2)
+        else:
+            planes = flat.reshape(-1, 1, rings, az)
+        parts = planes.shape[1]
+        # each part of a row weighs the row's weight
+        w = np.ravel(row_weight)
+        w = w if w.size == 1 else np.repeat(w, parts)
+        (fwd_even, fwd_odd), (syn_even, syn_odd) = self.forward, self.synthesis
+        n_even = even_rings * az
+        k_even = fwd_even.shape[1]
+        # 1 with an odd ring count: the equator ring, first of the north ones
+        eq = even_rings - odd_rings
+        per_mode = np.zeros(len(self.degrees))
+        before, after = 0.0, (0.0 if stepping else None)
+        for start in range(0, planes.shape[0], FOLD_BLOCK_ROWS):
+            block = planes[start : start + FOLD_BLOCK_ROWS]
+            count = block.shape[0]
+            north = block[:, :, rings - even_rings :]
+            south = block[:, :, even_rings - 1 :: -1]
+            fold = self._take("fold", (count, parts, even_rings + odd_rings, az))
+            even, odd = fold[:, :, :even_rings], fold[:, :, even_rings:]
+            np.add(north, south, out=even)
+            np.subtract(north[:, :, eq:], south[:, :, eq:], out=odd)
+            fold = fold.reshape(count * parts, -1)
+            weight = w if w.size == 1 else w[start * parts : start * parts + len(fold)]
+            scratch = self._take("synth", fold.shape)
+            before += _norm_sq(fold, self.norm_weight, weight, scratch)
+            coef = self._take("coef", (len(fold), len(self.degrees)))
+            np.matmul(fold[:, :n_even], fwd_even, out=coef[:, :k_even])
+            np.matmul(fold[:, n_even:], fwd_odd, out=coef[:, k_even:])
+            sq = np.square(coef, out=self._take("synth", coef.shape))
+            per_mode += _row_sum(weight, sq)
+            if not stepping:
+                continue
+            np.multiply(coef, self.factor, out=coef)
+            np.matmul(coef[:, :k_even], syn_even, out=scratch[:, :n_even])
+            np.matmul(coef[:, k_even:], syn_odd, out=scratch[:, n_even:])
+            np.add(fold, scratch, out=fold)
+            after += _norm_sq(fold, self.norm_weight, weight, scratch)
+            np.add(even[:, :, eq:], odd, out=north[:, :, eq:])
+            np.subtract(even[:, :, eq:], odd, out=south[:, :, eq:])
+            if eq:
+                np.copyto(north[:, :, 0], even[:, :, 0])
+            flat[start : start + count] *= 0.5
+        resolved = np.bincount(self.degrees, per_mode, minlength=self.lmax + 1)
+        return resolved, max(before - float(resolved.sum()), 0.0), after
 
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
@@ -654,19 +772,17 @@ class _SpectralEngine(_Engine):
             resolved = self._bin_masses(*self._pack(values, row_weight))
             unresolved = 0.0
         else:
-            flat = values.reshape(-1, values.shape[-1])
-            spec = self._coefficients(flat)
-            resolved, unresolved = self._masses(spec, flat, row_weight)
+            resolved, unresolved, _ = self._folded(values, row_weight, stepping=False)
         l2sq = float(resolved.sum()) + unresolved
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
     def _step(self, batch, row_weight, skew=None):
         """
-        The substep.  At d = 2 batch is a complex (..., n) array, stepped
-        in place, with `_bin_masses`' weights; at d = 3 it is a real
-        (rows, n) batch.  The post-step ||u||^2 is taken from the stepped
-        values.
+        The substep, in place.  At d = 2 batch is a complex (..., n) array
+        with `_bin_masses`' weights; at d = 3 a C-ordered real or complex
+        one (see `_folded`).  The post-step ||u||^2 is taken from the
+        stepped values.
         """
         if self.d == 2:
             resolved, unresolved = self._bin_masses(batch, row_weight, skew), 0.0
@@ -681,12 +797,8 @@ class _SpectralEngine(_Engine):
                 l2sq += float(_row_sum(skew, (re - im)[..., None])[0])
             l2sq *= self.node_weight
         else:
-            spec = self._coefficients(batch)
-            resolved, unresolved = self._masses(spec, batch, row_weight)
-            np.multiply(spec, self.factor, out=spec)
-            scratch = np.matmul(spec, self.basis.T, out=self._take("out", batch.shape))
-            out = np.add(batch, scratch, out=batch)
-            l2sq = _norm_sq(out, self.angular.weights, row_weight, scratch)
+            resolved, unresolved, l2sq = self._folded(batch, row_weight, stepping=True)
+            out = batch
         l2_int = float(np.sum(resolved * self.decay)) + unresolved * self.dt
         hs_int = float(np.sum(self.sigma * resolved * self.decay))
         return out, l2_int, hs_int, l2sq

@@ -72,6 +72,22 @@ def test_deviation_per_column_and_payload(bench_pairs, tmp_path):
     assert dev["max"] == parts["diagnostics.csv:energy_residual"]
 
 
+def test_residual_deviation_is_scaled_by_its_row(bench_pairs, tmp_path):
+    """energy_residual against 1/2 l2^2 of its own row, not against the
+    column's own largest magnitude."""
+    base = write_outputs(str(tmp_path / "base"), [1.0, 0.5], [0.0, 1e-15], [1.0, 2.0])
+    same = write_outputs(str(tmp_path / "same"), [1.0, 0.5], [0.0, 1e-15], [1.0, 2.0])
+    head = write_outputs(str(tmp_path / "head"), [1.0, 0.5], [-4e-16, 3e-15], [1.0, 2.0])
+    dev = bench_pairs.residual_deviation(base, head)
+    assert dev["at"] == "diagnostics.csv"
+    assert dev["max"] == pytest.approx(max(4e-16 / 0.5, 2e-15 / 0.125))
+    assert bench_pairs.residual_deviation(base, same) == {"max": 0.0, "at": "diagnostics.csv"}
+    short = write_outputs(str(tmp_path / "short"), [1.0], [0.0], [1.0, 2.0])
+    assert bench_pairs.residual_deviation(base, short)["max"] == math.inf
+    os.remove(os.path.join(head, "diagnostics.csv"))
+    assert bench_pairs.residual_deviation(base, head) is None
+
+
 def test_structural_differences_are_infinite(bench_pairs, tmp_path):
     base = write_outputs(str(tmp_path / "base"), [1.0, 0.5], [0.0, 0.0], [1.0, 2.0])
     head = write_outputs(str(tmp_path / "head"), [1.0, math.nan], [0.0, 0.0], [1.0, 2.0, 3.0])

@@ -25,16 +25,20 @@ from prte.scatter import (
     basis_at_directions,
     funk_hecke_eigs,
     mode_degrees,
+    polar_quadrature,
     sphere_quadrature,
 )
 from prte.solver import (
+    FOLD_BLOCK_ROWS,
     PhaseField,
     ProjectedAngularGrid,
     SolverConfig,
     SpatialGrid,
+    _dot_theta,
     _engine_for,
     _parseval_weights,
     _to_spectrum,
+    _transport_table,
     energy_functionals,
     run,
     scattering_step,
@@ -178,6 +182,29 @@ def test_transport_step_matches_real_part_fold(d, m, angles):
     want = oracle_transport(u, 0.37)
     assert rel_dev(got.values, want.values) <= 1e-14
     assert got.time == want.time
+
+
+@pytest.mark.parametrize("d, m, angular", [
+    (2, 16, sphere_quadrature(2, 32)),
+    (3, 8, sphere_quadrature(3, 4)),
+    (2, 16, ProjectedAngularGrid(PlaneGrid(2, 8.0, 32))),
+], ids=["d2", "d3", "projected"])
+def test_transport_table_matches_exp_form(d, m, angular):
+    """The streaming phase is cos and sin written into the table's real and
+    imaginary parts, bit for bit the complex exp of phase * (-i tau)."""
+    grid = SpatialGrid(d, 8.0, m)
+    tau = 0.37
+    theta = np.asarray(angular.nodes)[:, :d]
+    k = grid.wavenumbers()
+    stream = k.copy()
+    stream[m // 2] = 0.0
+    phase = np.empty(grid.shape[:-1] + (m // 2 + 1, theta.shape[0]))
+    _dot_theta(phase, stream, theta)
+    want = np.exp(phase * (-1j * tau))
+    _dot_theta(phase, k - stream, theta)
+    want *= np.cos(phase * tau)
+    got = _transport_table(grid, angular, tau)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -390,3 +417,135 @@ def test_d2_functionals_and_masses_match_rfft_route(angles, rows, weights):
     assert_close(hssq, float(np.sum(eng.sigma * masses)))
     # the masses sum to the quadrature norm of the values
     assert_close(l2sq, norm_sq(values, weight, eng.angular))
+
+
+# ---------------------------------------------------------------------------
+# the d = 3 folded substep against the dense map
+
+#: even and odd ring counts: with an odd count the equator ring is its own
+#: mirror image
+D3_RINGS = (6, 7)
+#: more than two blocks, and not a whole number of them
+D3_ROWS = 2 * FOLD_BLOCK_ROWS + 7
+
+
+def _d3_engine(rings):
+    grid = SpatialGrid(3, 8.0, 4)
+    angular = sphere_quadrature(3, rings)
+    u = PhaseField(grid, angular, np.ones(grid.shape + (len(angular.weights),)))
+    cfg = SolverConfig(kernel=SPEC3, dt=0.05, t_end=0.05, lmax=5)
+    return _engine_for(cfg, u)
+
+
+def _d3_projection(eng):
+    """The basis on the engine's whole rule and proj = weights * basis."""
+    basis = basis_at_directions(3, eng.angular.nodes, eng.lmax)
+    return basis, eng.angular.weights[:, None] * basis
+
+
+def dense_map_d3(eng):
+    """I + proj diag(expm1(lambda dt)) basis^T as the row map u -> u @ map."""
+    basis, proj = _d3_projection(eng)
+    lam = funk_hecke_eigs(eng.kernel, eng.lmax).lambdas
+    grow = np.expm1(lam[mode_degrees(3, eng.lmax)] * eng.dt)
+    return np.eye(len(basis)) + (proj * grow) @ basis.T
+
+
+def dense_masses_d3(eng, rows, row_weight):
+    """Per-degree masses of real (R, n) rows by the dense projection, and
+    the rest of their quadrature norm (the beyond-band remainder)."""
+    coef = rows @ _d3_projection(eng)[1]
+    per_mode = np.broadcast_to(row_weight, coef.shape[:1]) @ coef**2
+    masses = np.bincount(mode_degrees(3, eng.lmax), per_mode, minlength=eng.lmax + 1)
+    return masses, norm_sq(rows, row_weight, eng.angular) - float(masses.sum())
+
+
+def assert_step_integrals(eng, l2_int, hs_int, masses, rest):
+    assert_close(l2_int, float(np.sum(masses * eng.decay)) + rest * eng.dt)
+    assert_close(hs_int, float(np.sum(eng.sigma * masses * eng.decay)))
+
+
+@pytest.mark.parametrize("rings", D3_RINGS)
+def test_d3_harmonics_have_exact_parity(rings):
+    """The fold rests on this: on polar_quadrature's rings, mirrored about
+    the equator, each real harmonic's south values are exactly (-1)^(l + m)
+    times its north values, and the odd ones vanish on an equator ring."""
+    angular = polar_quadrature(rings)
+    lmax = angular.lmax_cap()
+    basis = basis_at_directions(3, angular.nodes, lmax).reshape(rings, -1, (lmax + 1) ** 2)
+    degrees = mode_degrees(3, lmax)
+    order = np.abs(np.arange(len(degrees)) - degrees * (degrees + 1))
+    parity = np.where((degrees + order) % 2 == 0, 1.0, -1.0)
+    assert np.array_equal(basis[::-1], basis * parity)
+    if rings % 2:
+        assert not np.any(basis[rings // 2][:, parity < 0])
+
+
+@pytest.mark.parametrize("rings", D3_RINGS)
+@pytest.mark.parametrize("weights", ["scalar", "per-row"])
+def test_d3_scatter_spectrum_matches_dense_map(rings, weights):
+    """The spectrum is stepped in place, block by block: each complex row's
+    real and imaginary parts by the dense map, with the row's weight."""
+    eng = _d3_engine(rings)
+    n = len(eng.angular.weights)
+    rng = np.random.default_rng(60 + rings)
+    spec = rng.standard_normal((D3_ROWS, n)) + 1j * rng.standard_normal((D3_ROWS, n))
+    weight = _row_weights(weights, D3_ROWS, rng)
+    parts = np.concatenate([spec.real, spec.imag])
+    both = weight if weights == "scalar" else np.tile(weight, 2)
+    masses, rest = dense_masses_d3(eng, parts, both)
+    want = spec @ dense_map_d3(eng)
+    l2_int, hs_int, l2sq = eng.scatter_spectrum(spec, weight)
+    assert rel_dev(spec, want) <= REL_TOL
+    assert_step_integrals(eng, l2_int, hs_int, masses, rest)
+    assert_close(l2sq, norm_sq(want, weight, eng.angular))
+
+
+@pytest.mark.parametrize("rings", D3_RINGS)
+@pytest.mark.parametrize("weights", ["scalar", "per-row"])
+def test_d3_scatter_l2_matches_dense_map(rings, weights):
+    eng = _d3_engine(rings)
+    rng = np.random.default_rng(70 + rings)
+    values = rng.random((D3_ROWS, len(eng.angular.weights)))
+    weight = _row_weights(weights, D3_ROWS, rng)
+    masses, rest = dense_masses_d3(eng, values, weight)
+    want = values @ dense_map_d3(eng)
+    before = values.copy()
+    out, l2_int, hs_int, l2sq = eng.scatter_l2(values, weight)
+    assert values.tobytes() == before.tobytes()
+    assert rel_dev(out, want) <= REL_TOL
+    assert_step_integrals(eng, l2_int, hs_int, masses, rest)
+    assert_close(l2sq, norm_sq(want, weight, eng.angular))
+
+
+@pytest.mark.parametrize("rings", D3_RINGS)
+@pytest.mark.parametrize("weights", ["scalar", "per-row"])
+def test_d3_functionals_and_masses_match_dense_projection(rings, weights):
+    eng = _d3_engine(rings)
+    rng = np.random.default_rng(80 + rings)
+    values = rng.random((D3_ROWS, len(eng.angular.weights)))
+    weight = _row_weights(weights, D3_ROWS, rng)
+    masses, rest = dense_masses_d3(eng, values, weight)
+    total = norm_sq(values, weight, eng.angular)
+    resolved, unresolved, after = eng._folded(values, weight, stepping=False)
+    assert after is None
+    assert rel_dev(resolved, masses) <= REL_TOL
+    assert abs(unresolved - rest) <= REL_TOL * total
+    l2sq, hssq = eng.functionals(values, weight)
+    assert_close(l2sq, total)
+    assert_close(hssq, float(np.sum(eng.sigma * masses)))
+
+
+def test_d3_substep_slots_are_block_sized():
+    """The d = 3 substep folds, projects and synthesizes one block of rows
+    at a time: after a step on a spectrum of many blocks, no workspace slot
+    holds more than one block's real and imaginary parts."""
+    cfg, _, grid, angular = _case("d3-spectral")
+    grid = SpatialGrid(3, grid.X, ALLOC_CELLS["d3-spectral"])
+    eng = _engine_for(cfg, random_field(grid, angular, seed=29))
+    spec = _to_spectrum(random_field(grid, angular, seed=29))
+    n = spec.shape[-1]
+    assert spec.size >= 16 * FOLD_BLOCK_ROWS * n
+    eng.scatter_spectrum(spec, _parseval_weights(grid))
+    assert eng._slots
+    assert max(buf.size for buf in eng._slots.values()) <= FOLD_BLOCK_ROWS * 2 * n * 8

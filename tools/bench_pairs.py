@@ -18,7 +18,9 @@ prte.cli` child, and `os.wait4` records its minor page faults (`ru_minflt`)
 and peak RSS.  The two sides' full jobs of a workload must write the same
 files with the same bytes; `outputs_identical` records whether they did.
 Where they did not, `outputs_max_rel_dev` records how far apart they are
-(see `output_deviation`).  Each side also runs one traced repetition of
+(see `output_deviation`), and `energy_residual_dev` how far their
+`energy_residual` cells are apart against 1/2 l2^2 of their rows (see
+`residual_deviation`).  Each side also runs one traced repetition of
 every workload at the first seed (`--seconds 0 --trace 1`), and
 `traced_line_ok` records whether its last line is a result the benchmark
 can read (see `traced_line_ok`).  Last, each side runs the tier-1 suite
@@ -266,6 +268,39 @@ def output_deviation(base, head):
     return {"max": nonzero.get(at, 0.0), "at": at, "parts": nonzero}
 
 
+def residual_deviation(base, head):
+    """
+    How far the head's `energy_residual` cells are from the base's, each
+    against the scale of its own row, 1/2 l2^2 of the base: {"max": the
+    largest, "at": the CSV file it is in}, or None where no CSV file on both
+    sides has both columns.  The column holds a roundoff-sized difference of
+    O(||u||^2) terms, so `output_deviation`, which scales it by its own
+    largest magnitude, reads about 1 when its roundoff moves; this reads
+    that roundoff at the size the energy checks judge it by.  A row count
+    that differs, or a cell whose ratio is not a number, is inf.
+    """
+    found = {}
+    for name in sorted(set(os.listdir(base)) & set(os.listdir(head))):
+        if not name.endswith(".csv"):
+            continue
+        a, b = _numeric_parts(os.path.join(base, name)), _numeric_parts(os.path.join(head, name))
+        keys = (f"{name}:energy_residual", f"{name}:l2")
+        if not all(isinstance(part.get(k), np.ndarray) for part in (a, b) for k in keys):
+            continue
+        res_a, l2_a, res_b = a[keys[0]], a[keys[1]], b[keys[0]]
+        if res_a.shape != res_b.shape:
+            found[name] = math.inf
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(res_b - res_a) / (0.5 * l2_a**2)
+        rel[res_a == res_b] = 0.0
+        found[name] = float(np.max(np.where(np.isnan(rel), math.inf, rel), initial=0.0))
+    if not found:
+        return None
+    at = max(found, key=found.get)
+    return {"max": found[at], "at": at}
+
+
 def describe(xs):
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "min": min(xs), "max": max(xs),
@@ -326,7 +361,7 @@ def main(argv=None):
                     )
                     for metric, better in metrics
                 }
-        usage, identical, deviation, traced = {}, {}, {}, {}
+        usage, identical, deviation, residual, traced = {}, {}, {}, {}, {}
         for name, wl in sorted(WORKLOADS.items()):
             out = {tag: os.path.join(tmp, f"{tag}-{name}") for tag in sides}
             seed = args.seeds[0]
@@ -343,6 +378,7 @@ def main(argv=None):
             identical[name] = same_outputs(out["base"], out["head"])
             if not identical[name]:
                 deviation[name] = output_deviation(out["base"], out["head"])
+                residual[name] = residual_deviation(out["base"], out["head"])
             for path in out.values():
                 shutil.rmtree(path, ignore_errors=True)
                 shutil.rmtree(path + "-setup", ignore_errors=True)
@@ -366,6 +402,7 @@ def main(argv=None):
         "job_usage": usage,
         "outputs_identical": identical,
         "outputs_max_rel_dev": deviation,
+        "energy_residual_dev": residual,
         "traced_line_ok": traced,
         "tier1": {"command": "python3 " + " ".join(TIER1_COMMAND), **tier1},
     }
