@@ -31,42 +31,42 @@ grid.  H equals E off the Nyquist planes; on them it is the fold that taking
 the real part of the inverse transform applies, cos((theta.k_N) dt/2) times
 the phase of the other components (see `_transport_table`).  The two
 half-steps that meet between consecutive steps fuse into one multiply by
-H*H.  Scattering acts on the spectrum's rows, each weighted by its Parseval
-weight where physical-space calls weight every row by the cell volume.  The
-sphere-spectral engine steps the complex rows themselves, in place.  At
-d = 2 that is one complex fft along the angle axis, the per-degree masses
-from the bin powers, a multiply by the even table exp(lambda_|k| dt) over the
-fft bins, one ifft; physical (real) rows are packed two to a complex row for
-it.  At d = 3 it goes FOLD_BLOCK_ROWS rows at a time: each block's real and
-imaginary parts are folded about the equator into north + south and
+H*H.  Scattering acts on the spectrum's rows in place, each weighted by its
+Parseval weight; `scatter_spectrum` is each engine's one stepping entry.  The
+sphere-spectral engine steps the complex rows themselves.  At d = 2 that is
+one complex fft along the angle axis, the per-degree masses from the bin
+powers, a multiply by the even table exp(lambda_|k| dt) over the fft bins,
+one ifft.  At d = 3 it goes FOLD_BLOCK_ROWS rows at a time: each block's real
+and imaginary parts are folded about the equator into north + south and
 north - south, which the even and the odd harmonics (parity (-1)^(l + m))
 project with two half-size products, and unfolded after the synthesis.  The
-projected engine acts on the real and imaginary parts as one real batch of
-rows.  The per-step checks read the spectrum (mass from the k = 0 row, where
-H = 1; L2 by Parseval), and the last half-step and irfftn run only when a
-diagnostics row or a snapshot needs physical values.  `transport_step` is a one-step
-wrapper over the same table, and `strang_step_energy` is the one observed
-step of a `run` to t = dt.  A study that needs the state after every step
-subscribes to `run` through its `observe` argument instead of marching
-again.
+projected engine copies the real and imaginary parts into one real batch of
+rows, steps it and writes it back.  The per-step checks read the spectrum
+(mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
+half-step and irfftn run only when a diagnostics row or a snapshot needs
+physical values.  Physical fields reach an engine only through
+`functionals`, at the cell volume as their one weight.  `transport_step`
+streams a physical field by the same table, and `strang_step_energy` is the
+one observed step of a `run` to t = dt.  A study that needs the state after
+every step subscribes to `run` through its `observe` argument instead of
+marching again.
 
-Each `run`, and each one-step call, builds its own scattering engine for its
-one dt, and the engine lives as long as that call.  Whatever depends on dt is
-computed when it is built: the spectral engine's per-mode factors and decay
-integrals, the projected engine's dt bound (a dt over it fails there, before
-the first step), its map M and its H^s form.  Each engine keeps a workspace
-(see `_Engine`): the batch of rows and the batch-sized arrays its substep
-needs, built on first use and kept for the engine's life, so a march
-allocates them once instead of every step (the d = 3 spectral substep needs
-only block-sized ones).  Every batch-sized temporary of the substep goes
-through it by numpy's `out=` as the same FFT, BLAS or ufunc call on the same
-operands, so no number moves.  The caller's fields are never
-written: `scatter_l2` copies its input into the batch, once per substep, and
-`scatter_spectrum` steps the march's own spectrum (the spectral engine in
-place, the projected one through the batch).  An emit's last half-step and the
-complex passes of its irfftn run in the batch's bytes too; the physical
-field is a new array whenever the observer or a snapshot may keep it, so
-`observe` always gets a fresh field.
+Each `run` builds its own scattering engine for its one dt, and the engine
+lives as long as the run.  Whatever depends on dt is computed when it is
+built: the spectral engine's per-mode factors and decay integrals, the
+projected engine's dt bound (a dt over it fails there, before the first
+step), its map M and its H^s form.  Each engine keeps a workspace (see
+`_Engine`): the batch of rows and the batch-sized arrays its substep needs,
+built on first use and kept for the engine's life, so a march allocates them
+once instead of every step (the d = 3 spectral substep needs only
+block-sized ones).  Every batch-sized temporary of the substep goes through
+it by numpy's `out=` as the same FFT, BLAS or ufunc call on the same
+operands, so no number moves.  The caller's fields are never written:
+`scatter_spectrum` steps the march's own spectrum, and `functionals` only
+reads its field.  An emit's last half-step and the complex passes
+of its irfftn run in the batch's bytes too; the physical field is a new
+array whenever the observer or a snapshot may keep it, so `observe` always
+gets a fresh field.
 
 Energy accounting: both time integrals entering the L2-vs-H^s energy
 inequality are accumulated inside the scattering substep (the transport
@@ -147,6 +147,9 @@ class SpatialGrid:
             raise ParameterOutOfRange(f"need finite X > 0, got {self.X}")
         if self.m < 2 or self.m & (self.m - 1):
             raise ParameterOutOfRange(f"need m a power of two >= 2, got {self.m}")
+        # a float product overflows to inf where (X / m) ** d raises
+        if not math.isfinite(math.prod((self.spacing(),) * self.d)):
+            raise ParameterOutOfRange(f"need a finite cell volume, got X = {self.X}")
 
     def spacing(self):
         return self.X / self.m
@@ -255,6 +258,10 @@ class SolverConfig:
             raise ParameterOutOfRange(f"need finite dt > 0, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
             raise ParameterOutOfRange(f"need finite t_end >= dt, got {self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ParameterOutOfRange(
+                f"need finite t_end / dt, got {self.t_end / self.dt}"
+            )
         if self.lmax < 1:
             raise ParameterOutOfRange(f"need lmax >= 1, got {self.lmax}")
         if self.snapshot_every < 0 or self.diagnostics_every < 1:
@@ -420,23 +427,23 @@ class _Engine:
     out as a view of any shape and dtype, so an array whose contents are dead
     lends its bytes to the next temporary.  The slots:
 
-    ``batch``  the (rows, n) batch a substep scatters in place: real, or
-               at d=2 spectral the complex rows packed from real ones;
+    ``batch``  the spectrum's real and imaginary parts as one real batch
+               (projected), or a field's real rows packed two to a complex
+               row for `functionals` (d=2 spectral);
     ``out``    a second array at least the batch's size: the bin powers
-               and then the unpacked output (d=2 spectral), or the
-               substep's output (projected);
+               (d=2 spectral) or the substep's output (projected);
     ``coef``   a block's harmonic coefficients (d=3 spectral) or plane
                half-spectra (projected, FFT route);
     ``fold``   a block's rows folded about the equator (d=3 spectral);
     ``synth``  a block's squares and synthesis (d=3 spectral).
 
     The d=3 spectral slots hold one block of FOLD_BLOCK_ROWS rows, not a
-    batch.  All are dead between steps, so an emit (`field`, `norms`) builds each
-    field and its norms in them.  What the engine returns is valid until its
-    next call.  Each engine has one substep, `_step(batch, row_weight)`: it
-    scatters the batch, which it may overwrite, and returns
-    the new values, the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau,
-    and ||u||^2 after it.  An engine built with dt = None has no substep and
+    batch.  All are dead between steps, so an emit (`field`, `norms`) builds
+    each field and its norms in them.  What the engine returns is valid
+    until its next call.  Each engine has one stepping method,
+    `scatter_spectrum(spec, row_weight)`: it scatters the spectrum in place
+    and returns the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau,
+    and ||u||^2 after it.  An engine built with dt = None does not step and
     serves `functionals` only.
     """
 
@@ -452,50 +459,6 @@ class _Engine:
         if buf is None or buf.size < nbytes:
             buf = self._slots[name] = np.empty(nbytes, np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
-
-    def _load(self, *parts):
-        """
-        The batch: the rows of `parts` (arrays of shape (..., n)) stacked in
-        order in slot "batch", as an (rows, n) array.  The parts are copied
-        and never written.
-        """
-        n = parts[0].shape[-1]
-        batch = self._take("batch", (sum(p.size for p in parts) // n, n))
-        start = 0
-        for p in parts:
-            rows = p.size // n
-            np.copyto(batch[start : start + rows].reshape(p.shape), p)
-            start += rows
-        return batch
-
-    def scatter_l2(self, values, row_weight):
-        """
-        Scattering over dt of the rows of values, an (..., n) array in
-        physical space: the new values, the substep's int ||u||^2 dtau and
-        int ||u||^2_{Hs} dtau, and ||u||^2 after it.  values is copied into
-        the batch and never written; the new values live in the workspace
-        until the engine's next call.
-        """
-        out, l2_int, hs_int, l2sq = self._step(self._load(values), row_weight)
-        return out.reshape(values.shape), l2_int, hs_int, l2sq
-
-    def scatter_spectrum(self, spec, row_weight):
-        """
-        Scattering over dt on the spectrum, in place; row_weight weighs each
-        row of spec, or is one scalar for all.  The engines are real-linear
-        and the same at every x, so here they act on the real and imaginary
-        parts as one real batch of rows, each part with its row's weight
-        (the spectral engine steps the complex rows themselves).
-        Returns the substep's (int ||u||^2 dtau, int ||u||^2_Hs dtau) and
-        ||u||^2 after it.
-        """
-        rows = spec.size // spec.shape[-1]
-        w = np.ravel(row_weight)
-        w = np.tile(w, 2) if w.size > 1 else w
-        out, l2_int, hs_int, l2sq = self._step(self._load(spec.real, spec.imag), w)
-        spec.real = out[:rows].reshape(spec.shape)
-        spec.imag = out[rows:].reshape(spec.shape)
-        return l2_int, hs_int, l2sq
 
     def start(self, spec):
         """Take the batch at the size of the run's spectrum, which every
@@ -529,19 +492,19 @@ class _SpectralEngine(_Engine):
     powers |Z_k|^2 folded to per-degree masses over k = +-l, a multiply by
     the even real table exp(lambda_|k| dt) over the fft bins, and an ifft.
     The marcher's spectrum is stepped as it is, one complex row per spatial
-    bin.  A physical field's real rows are packed two to a complex row
-    a + ib: the table is even and real, so the step maps a and b each as it
-    would alone (see `_pack` and `_bin_masses`).  The engine is diagonal on
-    every resolvable circular bin, so its lmax is angles // 2 whatever the
-    config's lmax says.
+    bin.  For `functionals` a field's real rows are packed two to a complex
+    row a + ib, whose bin powers hold the masses of a and b (see `_pack`
+    and `_bin_masses`).  The engine is diagonal on every resolvable
+    circular bin, so its lmax is angles // 2 whatever the config's lmax
+    says.
 
     At d = 3 the basis is the real spherical harmonics on a ring rule
-    mirrored about the equator, and the substep steps rows, the spectrum's
-    complex ones or a real batch, in place, a block of FOLD_BLOCK_ROWS rows
-    at a time: each block is folded into its sums and differences across
-    the equator, projected by two half-size products, one per parity class
-    (-1)^(l + m), multiplied by expm1(lambda_l dt), synthesized back by two
-    more and unfolded (see `_folded`).
+    mirrored about the equator, and the substep steps the spectrum's rows
+    in place, a block of FOLD_BLOCK_ROWS rows at a time: each block is
+    folded into its sums and differences across the equator, projected by
+    two half-size products, one per parity class (-1)^(l + m), multiplied
+    by expm1(lambda_l dt), synthesized back by two more and unfolded (see
+    `_folded`).
     """
 
     def __init__(self, kernel, angular, lmax, dt):
@@ -635,28 +598,11 @@ class _SpectralEngine(_Engine):
         # ||u||^2 = sum_north (wn / 2) (E^2 + O^2) over the folded rows
         self.norm_weight = 0.5 * np.concatenate([wn, wn[off:]])
 
-    def scatter_l2(self, values, row_weight):
-        if self.d == 3:
-            return super().scatter_l2(values, row_weight)
-        z, l2_int, hs_int, l2sq = self._step(*self._pack(values, row_weight))
-        rows, n = values.size // values.shape[-1], values.shape[-1]
-        pairs = z.shape[0]
-        # the bin powers are consumed: the output takes their bytes
-        out = self._take("out", (rows, n))
-        np.copyto(out[:pairs], z.real)
-        np.copyto(out[pairs:], z.imag[: rows - pairs])
-        return out.reshape(values.shape), l2_int, hs_int, l2sq
-
-    def scatter_spectrum(self, spec, row_weight):
-        return self._step(spec, row_weight)[1:]
-
-    def _pack(self, values, row_weight):
+    def _pack(self, values):
         """
         The real rows of values, (..., n), packed two to a complex row of
         the batch: row p is a + ib with a = row p and b = row p + pairs, and
-        b = 0 in the last pair when the row count is odd.  Returns the batch
-        and the weights `_bin_masses` takes: one scalar, or the mean of each
-        pair's two row weights and half their difference.
+        b = 0 in the last pair when the row count is odd.
         """
         n = values.shape[-1]
         flat = values.reshape(-1, n)
@@ -666,34 +612,20 @@ class _SpectralEngine(_Engine):
         np.copyto(z.real, flat[:pairs])
         np.copyto(z.imag[: rows - pairs], flat[pairs:])
         z.imag[rows - pairs :] = 0.0
-        w = np.ravel(row_weight)
-        if w.size == 1:
-            return z, row_weight, None
-        wa = w[:pairs]
-        wb = wa.copy()
-        wb[: rows - pairs] = w[pairs:]
-        return z, 0.5 * (wa + wb), 0.5 * (wa - wb)
+        return z
 
-    def _bin_masses(self, z, row_weight, skew):
+    def _bin_masses(self, z, row_weight):
         """
         Per-degree masses of the complex (..., n) array z, which is replaced
         by its fft along the angle axis.  Row r weighs row_weight_r (or one
         scalar for all).  A row's |Z_l|^2 + |Z_-l|^2 is the sum of its real
         and imaginary parts' masses of degree l, so the bin powers fold to
-        masses.  When the real and imaginary parts weigh
-        w_a = row_weight + skew and w_b = row_weight - skew instead, their
-        bins are A_k = (Z_k + conj Z_-k) / 2 and B_k = (Z_k - conj Z_-k) / (2i),
-        and w_a |A_k|^2 + w_b |B_k|^2 summed over k = +-l is the fold of
-        row_weight |Z_k|^2 + skew Re(Z_k Z_-k).  The powers take the "out"
-        slot.
+        masses.  The powers take the "out" slot.
         """
         np.fft.fft(z, axis=-1, out=z)
         parts = z.view(float)
         sq = np.square(parts, out=self._take("out", parts.shape))
         per_bin = _row_sum(row_weight, sq).reshape(-1, 2).sum(axis=1)
-        if skew is not None:
-            n = z.shape[-1]
-            per_bin += _row_sum(skew, (z * z[..., -np.arange(n) % n]).real)
         masses = np.bincount(self.bin_degree, per_bin, minlength=self.lmax + 1)
         return masses * self.bin_scale
 
@@ -767,9 +699,10 @@ class _SpectralEngine(_Engine):
         return resolved, max(before - float(resolved.sum()), 0.0), after
 
     def functionals(self, values, row_weight):
-        """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
+        """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting;
+        at d = 2 row_weight is one scalar, since rows are packed in pairs."""
         if self.d == 2:
-            resolved = self._bin_masses(*self._pack(values, row_weight))
+            resolved = self._bin_masses(self._pack(values), row_weight)
             unresolved = 0.0
         else:
             resolved, unresolved, _ = self._folded(values, row_weight, stepping=False)
@@ -777,31 +710,25 @@ class _SpectralEngine(_Engine):
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
-    def _step(self, batch, row_weight, skew=None):
+    def scatter_spectrum(self, spec, row_weight):
         """
-        The substep, in place.  At d = 2 batch is a complex (..., n) array
-        with `_bin_masses`' weights; at d = 3 a C-ordered real or complex
-        one (see `_folded`).  The post-step ||u||^2 is taken from the
-        stepped values.
+        Scattering over dt on the spectrum, in place; row_weight weighs each
+        row of spec, or is one scalar for all.  Returns the substep's
+        (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it, taken
+        from the stepped rows.
         """
         if self.d == 2:
-            resolved, unresolved = self._bin_masses(batch, row_weight, skew), 0.0
-            parts = batch.view(float)
+            resolved, unresolved = self._bin_masses(spec, row_weight), 0.0
+            parts = spec.view(float)
             np.multiply(parts, self.bin_factor, out=parts)
-            out = np.fft.ifft(batch, axis=-1, out=batch)
+            np.fft.ifft(spec, axis=-1, out=spec)
             per_row = np.einsum("...j,...j->...", parts, parts)
-            l2sq = float(_row_sum(row_weight, per_row[..., None])[0])
-            if skew is not None:
-                re = np.einsum("...j,...j->...", out.real, out.real)
-                im = np.einsum("...j,...j->...", out.imag, out.imag)
-                l2sq += float(_row_sum(skew, (re - im)[..., None])[0])
-            l2sq *= self.node_weight
+            l2sq = float(_row_sum(row_weight, per_row[..., None])[0]) * self.node_weight
         else:
-            resolved, unresolved, l2sq = self._folded(batch, row_weight, stepping=True)
-            out = batch
+            resolved, unresolved, l2sq = self._folded(spec, row_weight, stepping=True)
         l2_int = float(np.sum(resolved * self.decay)) + unresolved * self.dt
         hs_int = float(np.sum(self.sigma * resolved * self.decay))
-        return out, l2_int, hs_int, l2sq
+        return l2_int, hs_int, l2sq
 
 
 class _ProjectedEngine(_Engine):
@@ -941,7 +868,22 @@ class _ProjectedEngine(_Engine):
         Q = F.real @ F.real.T + F.imag @ F.imag.T
         return Q + M @ Q @ M.T
 
-    def _step(self, flat, row_weight):
+    def scatter_spectrum(self, spec, row_weight):
+        """
+        Scattering over dt on the spectrum, in place; row_weight weighs each
+        row of spec, or is one scalar for all.  The substep is real-linear,
+        so it steps the real and imaginary parts as one real batch of rows,
+        each part with its row's weight.  Returns the substep's
+        (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it.
+        """
+        n = spec.shape[-1]
+        rows = spec.size // n
+        flat = self._take("batch", (2 * rows, n))
+        np.copyto(flat[:rows].reshape(spec.shape), spec.real)
+        np.copyto(flat[rows:].reshape(spec.shape), spec.imag)
+        row_weight = np.ravel(row_weight)
+        if row_weight.size > 1:
+            row_weight = np.tile(row_weight, 2)
         w = self.angular.weights
         # the output's bytes serve as scratch until the step writes them
         out = self._take("out", flat.shape)
@@ -964,9 +906,9 @@ class _ProjectedEngine(_Engine):
             )
         if self.form is None:
             hs_ends += self._hs_total(out, row_weight, flat)
-        l2_int = 0.5 * self.dt * (pre_l2 + post_l2)
-        hs_int = 0.5 * self.dt * hs_ends
-        return out, l2_int, hs_int, post_l2
+        spec.real = out[:rows].reshape(spec.shape)
+        spec.imag = out[rows:].reshape(spec.shape)
+        return 0.5 * self.dt * (pre_l2 + post_l2), 0.5 * self.dt * hs_ends, post_l2
 
     def _hs_total(self, values, row_weight, scratch):
         """
@@ -994,13 +936,6 @@ def _engine_for(cfg, u, stepping=True):
     or, without `stepping`, one that serves `functionals` only."""
     cls = _SpectralEngine if cfg.backend == "sphere-spectral" else _ProjectedEngine
     return cls(cfg.kernel, u.angular, cfg.lmax, cfg.dt if stepping else None)
-
-
-def scattering_step(u, dt, cfg):
-    """Angular relaxation over dt; spatial nodes never couple."""
-    eng = _engine_for(replace(cfg, dt=dt, t_end=dt), u)
-    out = eng.scatter_l2(u.values, u.spatial.cell_volume())[0]
-    return PhaseField(u.spatial, u.angular, out, u.time)
 
 
 def strang_step_energy(u, dt, cfg):
@@ -1163,8 +1098,11 @@ def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
     ``harmonic-perturbation`` blob times (1 + contrast * normalized harmonic)
     """
     sigma = spatial.X / 10.0 if sigma is None else float(sigma)
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ParameterOutOfRange(f"need finite sigma > 0, got {sigma}")
+    # the profile divides by 2 sigma^2, a float > 0 (it rejects nan and inf too)
+    if not (sigma > 0.0 and 0.0 < 2.0 * sigma * sigma < math.inf):
+        raise ParameterOutOfRange(
+            f"need sigma > 0 with 2 sigma^2 finite and > 0, got {sigma}"
+        )
     center = (spatial.X / 2.0,) * spatial.d if center is None else tuple(center)
     if len(center) != spatial.d or not np.all(np.isfinite(center)):
         raise ParameterOutOfRange(
@@ -1181,10 +1119,10 @@ def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
             raise ParameterOutOfRange(f"need finite sigma_theta > 0, got {sigma_theta}")
         # past overflow of 1/sigma_theta^2 the beam is 0/0 at e0, or zero at
         # every node but the ones on e0
-        var = float(sigma_theta) ** 2
-        if not (var > 0.0 and np.isfinite(1.0 / var)):
+        var = float(sigma_theta) * float(sigma_theta)
+        if not (var > 0.0 and np.isfinite(var) and np.isfinite(1.0 / var)):
             raise ParameterOutOfRange(
-                f"need 1/sigma_theta^2 finite, got sigma_theta = {sigma_theta}"
+                f"need sigma_theta^2 and 1/sigma_theta^2 finite, got {sigma_theta}"
             )
         ang = np.exp((nodes[:, 0] - 1.0) / sigma_theta**2)
     elif kind == "harmonic-perturbation":

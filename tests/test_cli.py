@@ -185,6 +185,13 @@ class TestConfigValidation:
             ("solve", BEAM_SOLVE, {"b1 = 1.0": "b1 = inf"}),
             ("solve", BEAM_SOLVE, {"X = 8.0": "X = nan"}),
             ("solve", BEAM_SOLVE, {"dt = 0.02": "dt = nan"}),
+            ("solve", BEAM_SOLVE, {"dt = 0.02": "dt = 5e-324"}),
+            ("solve", BEAM_SOLVE, {"t_end = 0.5": "t_end = 1e308"}),
+            ("solve", BEAM_SOLVE, {"X = 8.0": "X = 1e200"}),
+            ("solve", BEAM_SOLVE, {"sigma = 1.0": "sigma = 1e308"}),
+            ("solve", BEAM_SOLVE, {"X = 8.0": "X = 1e308", "sigma = 1.0\n": ""}),
+            ("solve", BEAM_SOLVE, {"sigma_theta = 0.6": "sigma_theta = 1e308"}),
+            ("solve", BEAM_SOLVE, {"sigma = 1.0": "sigma = 1e-200"}),
             (
                 "solve",
                 BEAM_SOLVE,
@@ -258,6 +265,13 @@ class TestConfigValidation:
             "b1-inf",
             "X-nan",
             "dt-nan",
+            "dt-tiny",
+            "t-end-huge",
+            "X-huge",
+            "sigma-huge",
+            "X-huge-default-sigma",
+            "sigma-theta-huge",
+            "sigma-tiny",
             "degree-negative-d2",
             "beam-sigma-theta-tiny-projected",
             "beam-sigma-theta-tiny-sphere",

@@ -296,13 +296,13 @@ class TestLevelSet:
     def test_scatters_once_per_step(self, beam2, monkeypatch):
         """The check observes one run instead of marching a second time."""
         calls = []
-        step = _SpectralEngine._step
+        step = _SpectralEngine.scatter_spectrum
 
         def spy(self, *args):
             calls.append(self.dt)
             return step(self, *args)
 
-        monkeypatch.setattr(_SpectralEngine, "_step", spy)
+        monkeypatch.setattr(_SpectralEngine, "scatter_spectrum", spy)
         cfg = replace(self.cfg(), t_end=0.1, diagnostics_every=2)
         rep = level_set_energy_check(cfg, beam2, [0.0, 0.3, 0.6])
         assert rep.passed

@@ -3,10 +3,12 @@ The spatial-Fourier marcher against the physical-space marcher it replaced.
 
 `run` keeps its state as the rfftn spectrum over the space axes and streams
 by one multiplier table built per run.  The oracle here is the previous
-marcher, kept as it was: every half-step takes a full fftn, multiplies by
-exp(-i theta.k dt/2) built on the spot, and keeps the real part of the
-ifftn; scattering acts on physical values with the cell volume as its
-weight.  Both march random nonnegative data, which has energy in every bin,
+marcher's transport, kept as it was: every half-step takes a full fftn,
+multiplies by exp(-i theta.k dt/2) built on the spot, and keeps the real
+part of the ifftn.  Its scattering steps the physical values as complex rows
+with zero imaginary parts through the engine's one stepping entry,
+`scatter_spectrum`, with the cell volume as their weight, and keeps the real
+part.  Both march random nonnegative data, which has energy in every bin,
 the Nyquist planes and the doubly-Nyquist bins included, and they must agree
 step by step to 1e-13 relative on all four engines: fields, every
 diagnostics column, and the fields and step integrals `run` hands its
@@ -41,7 +43,6 @@ from prte.solver import (
     _transport_table,
     energy_functionals,
     run,
-    scattering_step,
     strang_step_energy,
     transport_step,
 )
@@ -72,9 +73,10 @@ def oracle_transport(u, dt):
 def oracle_step(u, dt, eng):
     """transport(dt/2), scattering(dt), transport(dt/2) on physical values."""
     half = oracle_transport(u, 0.5 * dt)
-    mid, dl2, dhs, _ = eng.scatter_l2(half.values, u.spatial.cell_volume())
-    out = oracle_transport(PhaseField(u.spatial, u.angular, mid, half.time), 0.5 * dt)
-    return out, dl2, dhs
+    z = half.values.astype(complex)
+    dl2, dhs, _ = eng.scatter_spectrum(z, u.spatial.cell_volume())
+    mid = PhaseField(u.spatial, u.angular, z.real, half.time)
+    return oracle_transport(mid, 0.5 * dt), dl2, dhs
 
 
 def oracle_march(cfg, u0, n_steps):
@@ -227,7 +229,6 @@ def test_callers_values_are_never_written(name):
     cfg, n_steps, grid, angular = _case(name)
     u = random_field(grid, angular, seed=17)
     before = u.values.copy()
-    scattering_step(u, cfg.dt, cfg)
     strang_step_energy(u, cfg.dt, cfg)
     energy_functionals(u, cfg)
     seen = []
@@ -383,35 +384,16 @@ def test_d2_scatter_spectrum_matches_dense_map(angles):
 
 @pytest.mark.parametrize("angles", D2_ANGLES)
 @pytest.mark.parametrize("rows", [6, 7])
-@pytest.mark.parametrize("weights", ["scalar", "per-row"])
-def test_d2_scatter_l2_matches_dense_map(angles, rows, weights):
-    """Physical rows, packed two to a complex row (one zero row padded when
-    the count is odd), come out as the dense map makes them; rows with
-    different weights in one pair are split by their bins."""
-    eng = _d2_engine(angles)
-    rng = np.random.default_rng(rows)
-    values = rng.random((rows, angles))
-    weight = _row_weights(weights, rows, rng)
-    want = values @ dense_map_d2(eng)
-    masses = rfft_masses(values, weight)
-    out, l2_int, hs_int, l2sq = eng.scatter_l2(values, weight)
-    assert out.shape == values.shape
-    assert rel_dev(out, want) <= REL_TOL
-    assert_close(l2_int, float(np.sum(masses * eng.decay)))
-    assert_close(hs_int, float(np.sum(eng.sigma * masses * eng.decay)))
-    assert_close(l2sq, norm_sq(want, weight, eng.angular))
-
-
-@pytest.mark.parametrize("angles", D2_ANGLES)
-@pytest.mark.parametrize("rows", [6, 7])
-@pytest.mark.parametrize("weights", ["scalar", "per-row"])
+@pytest.mark.parametrize("weights", ["scalar"])
 def test_d2_functionals_and_masses_match_rfft_route(angles, rows, weights):
+    """Physical rows, packed two to a complex row (one zero row padded when
+    the count is odd) at one scalar weight, as `functionals` takes them."""
     eng = _d2_engine(angles)
     rng = np.random.default_rng(40 + rows)
     values = rng.random((rows, angles))
     weight = _row_weights(weights, rows, rng)
     masses = rfft_masses(values, weight)
-    assert rel_dev(eng._bin_masses(*eng._pack(values, weight)), masses) <= REL_TOL
+    assert rel_dev(eng._bin_masses(eng._pack(values), weight), masses) <= REL_TOL
     l2sq, hssq = eng.functionals(values, weight)
     assert_close(l2sq, float(masses.sum()))
     assert_close(hssq, float(np.sum(eng.sigma * masses)))
@@ -503,19 +485,20 @@ def test_d3_scatter_spectrum_matches_dense_map(rings, weights):
 
 @pytest.mark.parametrize("rings", D3_RINGS)
 @pytest.mark.parametrize("weights", ["scalar", "per-row"])
-def test_d3_scatter_l2_matches_dense_map(rings, weights):
+def test_d3_functionals_match_dense_masses(rings, weights):
+    """`functionals` reads real rows through the fold's real-row branch:
+    ||u||^2 is the dense masses plus the beyond-band rest, ||u||^2_Hs the
+    sigma-weighted masses, and the rows are not written."""
     eng = _d3_engine(rings)
     rng = np.random.default_rng(70 + rings)
     values = rng.random((D3_ROWS, len(eng.angular.weights)))
     weight = _row_weights(weights, D3_ROWS, rng)
     masses, rest = dense_masses_d3(eng, values, weight)
-    want = values @ dense_map_d3(eng)
     before = values.copy()
-    out, l2_int, hs_int, l2sq = eng.scatter_l2(values, weight)
+    l2sq, hssq = eng.functionals(values, weight)
     assert values.tobytes() == before.tobytes()
-    assert rel_dev(out, want) <= REL_TOL
-    assert_step_integrals(eng, l2_int, hs_int, masses, rest)
-    assert_close(l2sq, norm_sq(want, weight, eng.angular))
+    assert_close(l2sq, float(masses.sum()) + rest)
+    assert_close(hssq, float(np.sum(eng.sigma * masses)))
 
 
 @pytest.mark.parametrize("rings", D3_RINGS)

@@ -39,7 +39,6 @@ from prte.solver import (
     energy_functionals,
     make_initial,
     run,
-    scattering_step,
 )
 
 REL_TOL = 1e-13
@@ -64,6 +63,14 @@ def rel_dev(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def scatter_rows(eng, values, row_weight):
+    """Real rows stepped through the engine's one stepping entry as complex
+    rows: the new rows, the substep's two integrals and ||u||^2 after it."""
+    z = values.astype(complex)
+    l2_int, hs_int, l2sq = eng.scatter_spectrum(z, row_weight)
+    return z.real, l2_int, hs_int, l2sq
+
+
 def oracle_hs_total(eng, values, row_weight):
     """The full complex-fftn plane Parseval sum the engine used to take."""
     f = values.reshape(values.shape[:-1] + eng.pshape) * eng.plane.w0
@@ -83,7 +90,7 @@ def test_map_route_matches_rk4(name):
     rng = np.random.default_rng(1)
     for rows in (3, n + 7):
         values = rng.standard_normal((rows, n))
-        out = eng.scatter_l2(values, rng.random(rows))[0]
+        out = scatter_rows(eng, values, rng.random(rows))[0]
         assert eng.M is not None, "a plane under MAP_MAX_NODES steps by its map"
         assert rel_dev(out, eng._substep(values)) <= REL_TOL
 
@@ -98,9 +105,9 @@ def test_plane_over_limit_takes_rk4_route(name, monkeypatch):
     big = _ProjectedEngine(small.kernel, small.angular, 8, dt)
     rng = np.random.default_rng(2)
     values = rng.standard_normal((n // 4, n))
-    got = big.scatter_l2(values, 1.0)[0]
+    got = scatter_rows(big, values, 1.0)[0]
     assert big.M is None, "a plane over the limit must not build the map"
-    want = small.scatter_l2(values, 1.0)[0]
+    want = scatter_rows(small, values, 1.0)[0]
     assert small.M is not None
     assert rel_dev(got, want) <= REL_TOL
 
@@ -135,14 +142,14 @@ def test_hs_form_matches_fft_trapezoid(n, h, monkeypatch):
     rng = np.random.default_rng(6)
     values = rng.standard_normal((2 * n + 5, n))
     row_weight = rng.random(len(values))
-    out, _, hs_int, _ = eng.scatter_l2(values, row_weight)
+    out, _, hs_int, _ = scatter_rows(eng, values, row_weight)
     assert eng.form is not None, "the form is built beside M"
     assert hs_int == pytest.approx(
         oracle_hs_trapezoid(eng, values, row_weight), rel=REL_TOL, abs=0.0
     )
     monkeypatch.setattr(_ProjectedEngine, "FORM_MAX_NODES", n - 1)
     fft = _ProjectedEngine(spec, angular, 8, FORM_DT[n])
-    fft_out, _, fft_hs, _ = fft.scatter_l2(values, row_weight)
+    fft_out, _, fft_hs, _ = scatter_rows(fft, values, row_weight)
     assert fft.form is None and fft.M is not None
     assert np.array_equal(fft_out, out), "the form route must not move the step"
     assert hs_int == pytest.approx(fft_hs, rel=REL_TOL, abs=0.0)
@@ -157,7 +164,7 @@ def test_d3_plane_keeps_fft_seminorms():
     rng = np.random.default_rng(7)
     values = rng.standard_normal((9, n))
     row_weight = rng.random(9)
-    hs_int = eng.scatter_l2(values, row_weight)[2]
+    hs_int = scatter_rows(eng, values, row_weight)[2]
     assert eng.M is not None and eng.form is None
     assert hs_int == pytest.approx(
         oracle_hs_trapezoid(eng, values, row_weight), rel=REL_TOL, abs=0.0
@@ -166,17 +173,16 @@ def test_d3_plane_keeps_fft_seminorms():
 
 @pytest.mark.parametrize("name, m", [("d2", 8), ("d3", 16)])
 def test_physical_scattering_step_takes_map_route(name, m, monkeypatch):
-    """A physical-space (m, ..., m, n_nodes) field steps by the map through
-    its flattened rows and matches the RK4 code row by row."""
+    """A physical-space (m, ..., m, n_nodes) field, stepped as complex rows
+    by an engine built for dt, steps by the map through its flattened rows
+    and matches the RK4 code row by row."""
     spec, plane, dt = CASES[name]
     angular = ProjectedAngularGrid(plane)
     n = len(angular.weights)
     grid = SpatialGrid(spec.d, 8.0, m)
     rng = np.random.default_rng(3)
     u = PhaseField(grid, angular, rng.standard_normal(grid.shape + (n,)))
-    cfg = SolverConfig(
-        kernel=spec, dt=1e-3, t_end=1e-3, lmax=8, backend="projected-plane"
-    )
+    cfg = SolverConfig(kernel=spec, dt=dt, t_end=dt, lmax=8, backend="projected-plane")
     built = []
     substep_map = _ProjectedEngine._substep_map
 
@@ -185,11 +191,9 @@ def test_physical_scattering_step_takes_map_route(name, m, monkeypatch):
         return substep_map(self)
 
     monkeypatch.setattr(_ProjectedEngine, "_substep_map", spy)
-    got = scattering_step(u, dt, cfg).values
-    assert len(built) == 1, "a plane under MAP_MAX_NODES steps by its map"
-    # the engine scattering_step built for itself, for dt
-    eng = built[0]
-    assert eng.dt == dt
+    eng = _engine_for(cfg, u)
+    got = scatter_rows(eng, u.values, grid.cell_volume())[0]
+    assert built == [eng], "a plane under MAP_MAX_NODES steps by its map"
     flat = u.values.reshape(-1, n)
     # the RK4 oracle in blocks of rows, to keep its temporaries small
     want = np.concatenate(
