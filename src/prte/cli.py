@@ -288,12 +288,13 @@ def _parse_args(argv):
             default=None,
             help="output directory (default: $PRTE_OUT, then the working directory)",
         )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker bound for ladder jobs (results never depend on it)",
-        )
+        if name == "study":
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=1,
+                help="worker bound for ladder jobs (results never depend on it)",
+            )
     return parser.parse_args(argv)
 
 

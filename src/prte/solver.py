@@ -40,6 +40,9 @@ one ifft.  At d = 3 it goes FOLD_BLOCK_ROWS rows at a time: each block's real
 and imaginary parts are folded about the equator into north + south and
 north - south, which the even and the odd harmonics (parity (-1)^(l + m))
 project with two half-size products, and unfolded after the synthesis.  The
+blocks are independent but for three sums, so they run on one thread per CPU
+the process may use, in contiguous chunks, and the sums are taken in block
+order afterwards: no output bit depends on the thread count.  The
 projected engine copies the real and imaginary parts into one real batch of
 rows, steps it and writes it back.  The per-step checks read the spectrum
 (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
@@ -87,7 +90,9 @@ nodes, so every d = 3 plane (at least 1024 nodes) keeps the FFTs.
 """
 
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -336,9 +341,25 @@ def _transport_table(spatial, angular, tau):
     table = np.empty(phase.shape, complex)
     np.cos(phase, out=table.real)
     np.sin(phase, out=table.imag)
-    _dot_theta(phase, k - stream, theta)
-    phase *= tau
-    table *= np.cos(phase, out=phase)
+    # k - stream is nonzero only on the Nyquist planes, so only they take
+    # the fold's cosine, each plane summed over the axes as `_dot_theta`
+    # sums, in the bytes of phase; a row on more than one plane takes it on
+    # the first and 1 on the rest
+    fold_k = k - stream
+    for a in range(g.d):
+        at = (slice(None),) * a + (slice(nyq, nyq + 1),)
+        plane, fold = table[at], phase[at]
+        fold[...] = 0.0
+        for b in range(g.d):
+            shape = [1] * fold.ndim
+            shape[b] = fold.shape[b]
+            per_axis = fold_k[nyq : nyq + 1] if b == a else fold_k[: fold.shape[b]]
+            fold += per_axis.reshape(shape) * theta[:, b]
+        fold *= tau
+        np.cos(fold, out=fold)
+        for b in range(a):
+            fold[(slice(None),) * b + (nyq,)] = 1.0
+        plane *= fold
     return table
 
 
@@ -417,6 +438,11 @@ def _norm_sq(values, weights, row_weight, scratch):
     return float(_row_sum(row_weight, (sq @ weights)[..., None])[0])
 
 
+def _cpus():
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 class _Engine:
     """
     What both scattering engines share.  An engine is built for one dt and
@@ -438,7 +464,12 @@ class _Engine:
     ``synth``  a block's squares and synthesis (d=3 spectral).
 
     The d=3 spectral slots hold one block of FOLD_BLOCK_ROWS rows, not a
-    batch.  All are dead between steps, so an emit (`field`, `norms`) builds
+    batch.  That substep steps its blocks in W contiguous chunks, one per
+    worker thread (see `_folded`), and chunk i takes its "fold", "coef" and
+    "synth" from slot set i of `_slot_sets`: set 0 is the engine's own
+    slots, and the others are made on first use and kept for the engine's
+    life.  The blocks' sums are added in block order, so no number depends
+    on W.  All are dead between steps, so an emit (`field`, `norms`) builds
     each field and its norms in them.  What the engine returns is valid
     until its next call.  Each engine has one stepping method,
     `scatter_spectrum(spec, row_weight)`: it scatters the spectrum in place
@@ -450,14 +481,19 @@ class _Engine:
     def __init__(self, dt):
         self.dt = dt
         self._slots = {}
+        # one slot set per chunk of a d = 3 spectral substep; chunk 0's is
+        # the engine's own
+        self._slot_sets = [self._slots]
 
-    def _take(self, name, shape, dtype=float):
-        """Slot `name` as a C-ordered array of `shape`; contents undefined."""
+    def _take(self, name, shape, dtype=float, slots=None):
+        """Slot `name` of the slot set `slots` (the engine's own by default)
+        as a C-ordered array of `shape`; contents undefined."""
+        slots = self._slots if slots is None else slots
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
-        buf = self._slots.get(name)
+        buf = slots.get(name)
         if buf is None or buf.size < nbytes:
-            buf = self._slots[name] = np.empty(nbytes, np.uint8)
+            buf = slots[name] = np.empty(nbytes, np.uint8)
         return buf[:nbytes].view(dtype).reshape(shape)
 
     def start(self, spec):
@@ -646,6 +682,15 @@ class _SpectralEngine(_Engine):
         weights halved.  The step adds 2 basis^T times coefficients * factor
         to E and O, which unfold back to north = (E + O) / 2 and
         south = (E - O) / 2.
+
+        The blocks touch disjoint rows, so they are split into W = min(CPUs
+        this process may run on, blocks) contiguous chunks: the calling
+        thread steps chunk 0 in the engine's own slots, and a pool of W - 1
+        threads, closed before this returns, steps the others, chunk i in
+        slot set i.  numpy releases the interpreter lock in the folds,
+        products and ufuncs.  Each block returns its per-mode masses and
+        its ||u||^2 before and after, and they are added in block order, as
+        one thread would, so no output bit depends on W.
         """
         rings, az, even_rings, odd_rings = self.fold_shape
         # a step writes rows through this view, so it may not be a copy
@@ -663,38 +708,64 @@ class _SpectralEngine(_Engine):
         k_even = fwd_even.shape[1]
         # 1 with an odd ring count: the equator ring, first of the north ones
         eq = even_rings - odd_rings
-        per_mode = np.zeros(len(self.degrees))
-        before, after = 0.0, (0.0 if stepping else None)
-        for start in range(0, planes.shape[0], FOLD_BLOCK_ROWS):
+
+        def fold_block(start, slots):
             block = planes[start : start + FOLD_BLOCK_ROWS]
             count = block.shape[0]
             north = block[:, :, rings - even_rings :]
             south = block[:, :, even_rings - 1 :: -1]
-            fold = self._take("fold", (count, parts, even_rings + odd_rings, az))
+            shape = (count, parts, even_rings + odd_rings, az)
+            fold = self._take("fold", shape, slots=slots)
             even, odd = fold[:, :, :even_rings], fold[:, :, even_rings:]
             np.add(north, south, out=even)
             np.subtract(north[:, :, eq:], south[:, :, eq:], out=odd)
             fold = fold.reshape(count * parts, -1)
             weight = w if w.size == 1 else w[start * parts : start * parts + len(fold)]
-            scratch = self._take("synth", fold.shape)
-            before += _norm_sq(fold, self.norm_weight, weight, scratch)
-            coef = self._take("coef", (len(fold), len(self.degrees)))
+            scratch = self._take("synth", fold.shape, slots=slots)
+            before = _norm_sq(fold, self.norm_weight, weight, scratch)
+            coef = self._take("coef", (len(fold), len(self.degrees)), slots=slots)
             np.matmul(fold[:, :n_even], fwd_even, out=coef[:, :k_even])
             np.matmul(fold[:, n_even:], fwd_odd, out=coef[:, k_even:])
-            sq = np.square(coef, out=self._take("synth", coef.shape))
-            per_mode += _row_sum(weight, sq)
+            sq = np.square(coef, out=self._take("synth", coef.shape, slots=slots))
+            per_mode = _row_sum(weight, sq)
             if not stepping:
-                continue
+                return per_mode, before, None
             np.multiply(coef, self.factor, out=coef)
             np.matmul(coef[:, :k_even], syn_even, out=scratch[:, :n_even])
             np.matmul(coef[:, k_even:], syn_odd, out=scratch[:, n_even:])
             np.add(fold, scratch, out=fold)
-            after += _norm_sq(fold, self.norm_weight, weight, scratch)
+            after = _norm_sq(fold, self.norm_weight, weight, scratch)
             np.add(even[:, :, eq:], odd, out=north[:, :, eq:])
             np.subtract(even[:, :, eq:], odd, out=south[:, :, eq:])
             if eq:
                 np.copyto(north[:, :, 0], even[:, :, 0])
             flat[start : start + count] *= 0.5
+            return per_mode, before, after
+
+        starts = range(0, planes.shape[0], FOLD_BLOCK_ROWS)
+        chunks = np.array_split(starts, min(_cpus(), len(starts)))
+        while len(self._slot_sets) < len(chunks):
+            self._slot_sets.append({})
+
+        def fold_chunk(i):
+            return [fold_block(start, self._slot_sets[i]) for start in chunks[i]]
+
+        if len(chunks) == 1:
+            blocks = fold_chunk(0)
+        else:
+            # leaving the block waits for every thread, also when one raises
+            with ThreadPoolExecutor(len(chunks) - 1) as pool:
+                rest = [pool.submit(fold_chunk, i) for i in range(1, len(chunks))]
+                blocks = fold_chunk(0)
+                for future in rest:
+                    blocks += future.result()
+        per_mode = np.zeros(len(self.degrees))
+        before, after = 0.0, (0.0 if stepping else None)
+        for block_mode, block_before, block_after in blocks:
+            per_mode += block_mode
+            before += block_before
+            if stepping:
+                after += block_after
         resolved = np.bincount(self.degrees, per_mode, minlength=self.lmax + 1)
         return resolved, max(before - float(resolved.sum()), 0.0), after
 

@@ -1,6 +1,7 @@
-"""`tools/bench_pairs.py`: how far two sides' output directories are apart,
-whether a traced run's last line is a result the benchmark can read, and
-the counts of a tier-1 run's summary line."""
+"""`tools/bench_pairs.py`: what it records of one CLI job, how far two
+sides' output directories are apart, whether a traced run's last line is a
+result the benchmark can read, and the counts of a tier-1 run's summary
+line."""
 
 import importlib.util
 import json
@@ -43,6 +44,17 @@ def write_outputs(path, l2, residual, payload, note="ok"):
 
 def test_header_size_matches_the_solver(bench_pairs):
     assert bench_pairs.SNAPSHOT_HEADER_BYTES == SNAPSHOT_HEADER_BYTES
+
+
+def test_job_usage_records_cpu_seconds(bench_pairs, tmp_path):
+    """One set-up job of a workload on this checkout: its page faults, peak
+    RSS and CPU seconds are positive, and it wrote its outputs."""
+    out = str(tmp_path / "out")
+    usage = bench_pairs.job_usage(ROOT, bench_pairs.WORKLOADS["solve-d2-beam"], 0, 1, out)
+    assert set(usage) == {"minflt", "peak_rss_mb", "cpu_s"}
+    assert usage["minflt"] > 0 and usage["peak_rss_mb"] > 0.0
+    assert 0.0 < usage["cpu_s"] < 60.0
+    assert "diagnostics.csv" in os.listdir(out)
 
 
 def test_identical_outputs_have_no_deviation(bench_pairs, tmp_path):

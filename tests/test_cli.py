@@ -168,6 +168,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
 
+    @pytest.mark.parametrize("command", ["solve", "eigs"])
+    def test_threads_is_a_usage_error_outside_study(self, tmp_path, capsys, command):
+        """--threads bounds only the study ladders, so solve and eigs reject
+        it as argparse does any unknown flag (exit 2) and write nothing."""
+        cfg = write_ini(tmp_path, BEAM_SOLVE)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(out), "--threads", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_point_ladder(self, tmp_path):
         cfg = write_ini(tmp_path, HG_STUDY.replace("ladder = 0.8,0.9,0.95", "ladder = 0.8,0.9"))
         assert main(["study", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -15,12 +15,15 @@ diagnostics column, and the fields and step integrals `run` hands its
 observer.
 """
 
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from prte import solver
+from prte.errors import InvariantViolation
 from prte.fracop import PlaneGrid, parseval_weights
 from prte.kernels import KernelSpec
 from prte.scatter import (
@@ -36,6 +39,7 @@ from prte.solver import (
     ProjectedAngularGrid,
     SolverConfig,
     SpatialGrid,
+    _cpus,
     _dot_theta,
     _engine_for,
     _parseval_weights,
@@ -45,6 +49,8 @@ from prte.solver import (
     run,
     strang_step_energy,
     transport_step,
+    write_diagnostics,
+    write_snapshot,
 )
 
 REL_TOL = 1e-13
@@ -532,3 +538,93 @@ def test_d3_substep_slots_are_block_sized():
     eng.scatter_spectrum(spec, _parseval_weights(grid))
     assert eng._slots
     assert max(buf.size for buf in eng._slots.values()) <= FOLD_BLOCK_ROWS * 2 * n * 8
+    # one slot set per worker, the first the engine's own, each block-sized
+    blocks = -(-spec.size // n // FOLD_BLOCK_ROWS)
+    assert eng._slot_sets[0] is eng._slots
+    assert len(eng._slot_sets) == min(_cpus(), blocks)
+    for slots in eng._slot_sets:
+        assert slots.keys() == eng._slots.keys()
+        assert max(buf.size for buf in slots.values()) <= FOLD_BLOCK_ROWS * 2 * n * 8
+
+
+# ---------------------------------------------------------------------------
+# the d = 3 substep's row blocks on several threads
+
+#: worker counts forced through `solver._cpus`: one thread, and pools whose
+#: chunks are uneven on the marches and the fold rows below
+WORKERS = (1, 2, 3)
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr("prte.solver._cpus", lambda: workers)
+
+
+@pytest.mark.parametrize("rings", D3_RINGS)
+def test_d3_march_bytes_do_not_depend_on_workers(rings, monkeypatch, tmp_path):
+    """diagnostics.csv and every snapshot of a d = 3 march have the same
+    bytes on 1, 2 and 3 workers.  The 8^3 grid's spectrum has 320 rows, five
+    blocks: no whole number of blocks per worker at 2 or 3, and the observer
+    takes `functionals` on 512 real rows every step."""
+    cfg, _, grid, angular = _case("d3-spectral")
+    angular = sphere_quadrature(3, rings)
+    cfg = replace(cfg, snapshot_every=2, diagnostics_every=2)
+    u0 = random_field(grid, angular, seed=31)
+    blobs = []
+    for workers in WORKERS:
+        _force_workers(monkeypatch, workers)
+        seen = []
+        snaps, records = run(cfg, u0, lambda u, a, b, f: seen.append(f(u.values)))
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        write_diagnostics(records, str(out / "diagnostics.csv"))
+        for i, snap in enumerate(snaps):
+            write_snapshot(snap, str(out / f"snapshot_{i:04d}.bin"))
+        files = sorted(out.iterdir())
+        blobs.append(([f.name for f in files], [f.read_bytes() for f in files], seen))
+    assert len(blobs[0][0]) == 4
+    assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+
+@pytest.mark.parametrize("rings", D3_RINGS)
+@pytest.mark.parametrize("stepping", [True, False])
+def test_d3_fold_blocks_do_not_depend_on_workers(rings, stepping, monkeypatch):
+    """`_folded` on D3_ROWS per-row-weighted rows, whose last block is
+    partial: the masses, the remainder, ||u||^2 after and the stepped rows
+    have the same bytes on 1, 2 and 3 workers."""
+    eng = _d3_engine(rings)
+    n = len(eng.angular.weights)
+    rng = np.random.default_rng(90 + rings)
+    start = rng.standard_normal((D3_ROWS, n)) + 1j * rng.standard_normal((D3_ROWS, n))
+    weight = _row_weights("per-row", D3_ROWS, rng)
+    if not stepping:
+        start = start.real.copy()
+    got = []
+    for workers in WORKERS:
+        _force_workers(monkeypatch, workers)
+        rows = start.copy()
+        resolved, unresolved, after = eng._folded(rows, weight, stepping)
+        got.append((resolved.tobytes(), unresolved, after, rows.tobytes()))
+    assert len(eng._slot_sets) == 3
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_no_thread_outlives_a_d3_run(monkeypatch):
+    """The pool of a d = 3 substep is closed before the substep returns,
+    also when a block on a pool thread raises."""
+    cfg, _, grid, angular = _case("d3-spectral")
+    u0 = random_field(grid, angular, seed=37)
+    _force_workers(monkeypatch, 3)
+    threads = threading.active_count()
+    run(cfg, u0)
+    assert threading.active_count() == threads
+    norm_sq_in_blocks = solver._norm_sq
+
+    def fail_off_the_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise InvariantViolation("raised by a block on a pool thread")
+        return norm_sq_in_blocks(*args)
+
+    monkeypatch.setattr(solver, "_norm_sq", fail_off_the_main_thread)
+    with pytest.raises(InvariantViolation, match="pool thread"):
+        run(cfg, u0)
+    assert threading.active_count() == threads

@@ -14,9 +14,11 @@ one session on one machine, which is why both sides run here side by side.
 
 Besides the timed runs, each side runs one set-up job (one step) and one
 full job of every workload at the first seed as a plain `python3 -m
-prte.cli` child, and `os.wait4` records its minor page faults (`ru_minflt`)
-and peak RSS.  The two sides' full jobs of a workload must write the same
-files with the same bytes; `outputs_identical` records whether they did.
+prte.cli` child, and `os.wait4` records its minor page faults (`ru_minflt`),
+peak RSS and CPU seconds (`ru_utime + ru_stime`), so that a gain in wall
+time from running on more CPUs shows its CPU cost beside it.  The two
+sides' full jobs of a workload must write the same files with the same
+bytes; `outputs_identical` records whether they did.
 Where they did not, `outputs_max_rel_dev` records how far apart they are
 (see `output_deviation`), and `energy_residual_dev` how far their
 `energy_residual` cells are apart against 1/2 l2^2 of their rows (see
@@ -139,8 +141,9 @@ def traced_once(tree, workload, seed):
 
 
 def job_usage(tree, wl, seed, steps, out):
-    """Minor page faults and peak RSS (MB) of one prte CLI job on `tree`,
-    which writes its outputs to the directory `out`."""
+    """Minor page faults, peak RSS (MB) and CPU seconds (user plus system,
+    every thread's) of one prte CLI job on `tree`, which writes its outputs
+    to the directory `out`."""
     cfg = out + ".ini"
     with open(cfg, "w") as fh:
         fh.write(config_text(wl, beam_for_seed(seed, wl.dimension), steps))
@@ -154,7 +157,11 @@ def job_usage(tree, wl, seed, steps, out):
     _, status, usage = os.wait4(proc.pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"{wl.name} ({steps} steps) failed on {tree}")
-    return {"minflt": usage.ru_minflt, "peak_rss_mb": usage.ru_maxrss / 1024.0}
+    return {
+        "minflt": usage.ru_minflt,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,
+        "cpu_s": usage.ru_utime + usage.ru_stime,
+    }
 
 
 def pytest_counts(stdout):

@@ -56,6 +56,18 @@ MUTANTS = (
     ),
     Mutant("doubly-Nyquist fold", SOLVER, "stream[nyq] = 0.0", "pass"),
     Mutant(
+        "one fold per Nyquist row",
+        SOLVER,
+        "fold[(slice(None),) * b + (nyq,)] = 1.0",
+        "pass",
+    ),
+    Mutant(
+        "block-order sum",
+        SOLVER,
+        "blocks += future.result()",
+        "future.result()",
+    ),
+    Mutant(
         "fused half-steps",
         SOLVER,
         "spec *= half if step == 1 else fused",
