@@ -439,8 +439,11 @@ def _norm_sq(values, weights, row_weight, scratch):
 
 
 def _cpus():
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _Engine:
@@ -481,8 +484,6 @@ class _Engine:
     def __init__(self, dt):
         self.dt = dt
         self._slots = {}
-        # one slot set per chunk of a d = 3 spectral substep; chunk 0's is
-        # the engine's own
         self._slot_sets = [self._slots]
 
     def _take(self, name, shape, dtype=float, slots=None):

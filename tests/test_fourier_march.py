@@ -556,7 +556,7 @@ WORKERS = (1, 2, 3)
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr("prte.solver._cpus", lambda: workers)
+    monkeypatch.setattr(solver, "_cpus", lambda: workers)
 
 
 @pytest.mark.parametrize("rings", D3_RINGS)
@@ -589,8 +589,8 @@ def test_d3_march_bytes_do_not_depend_on_workers(rings, monkeypatch, tmp_path):
 @pytest.mark.parametrize("stepping", [True, False])
 def test_d3_fold_blocks_do_not_depend_on_workers(rings, stepping, monkeypatch):
     """`_folded` on D3_ROWS per-row-weighted rows, whose last block is
-    partial: the masses, the remainder, ||u||^2 after and the stepped rows
-    have the same bytes on 1, 2 and 3 workers."""
+    partial: the masses and the stepped rows have the same bytes, and the
+    remainder and ||u||^2 after the same values, on 1, 2 and 3 workers."""
     eng = _d3_engine(rings)
     n = len(eng.angular.weights)
     rng = np.random.default_rng(90 + rings)
