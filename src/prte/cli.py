@@ -3,13 +3,13 @@ Batch front door: INI configs in, CSV artifacts out.
 
     prte solve --config run.ini [--out DIR]
     prte eigs  --config run.ini [--out DIR]
-    prte study --config run.ini [--out DIR] [--threads N]
+    prte study --config run.ini [--out DIR]
 
 Exit codes: 0 success, 2 config error, 3 invariant violation during a run,
 4 numerical failure, 5 study finished but missed its thresholds.  The output
-directory defaults to $PRTE_OUT, then the working directory.  For a fixed
-config and build the emitted bytes do not depend on --threads (ladder jobs
-are gathered in ladder order).
+directory defaults to $PRTE_OUT, then the working directory.  Thread pools
+take one thread per CPU the process may use (`taskset` bounds them), and the
+emitted bytes of a fixed config and build never depend on that count.
 
 Config sections and keys (unknown ones are hard errors):
 
@@ -235,20 +235,20 @@ def _study_ladder(cp):
     return _get(cp, "study", "ladder", _floats)
 
 
-def _cmd_study(cp, outdir, threads):
+def _cmd_study(cp, outdir):
     name = _get(cp, "study", "name", str)
     if name not in STUDIES:
         raise UnknownKind(f"unknown study {name!r}; choose from {STUDIES}")
     d = _get(cp, "run", "dimension", int)
     if name == "operator-rate":
         s = _get(cp, "kernel", "s", float)
-        report = operator_rate_study(_probe_from(cp, d), s, _study_ladder(cp), threads)
+        report = operator_rate_study(_probe_from(cp, d), s, _study_ladder(cp))
     else:
         kernel = _kernel_from(cp)
         cfg = _solver_config_from(cp, kernel)
         u0 = _initial_from(cp, d, cfg.backend)
         if name == "hg-convergence":
-            report = hg_convergence_study(cfg, u0, _study_ladder(cp), threads)
+            report = hg_convergence_study(cfg, u0, _study_ladder(cp))
         elif name == "level-set":
             # ladder entries are fractions of the initial maximum
             m0 = float(np.max(u0.values))
@@ -288,13 +288,6 @@ def _parse_args(argv):
             default=None,
             help="output directory (default: $PRTE_OUT, then the working directory)",
         )
-        if name == "study":
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="worker bound for ladder jobs (results never depend on it)",
-            )
     return parser.parse_args(argv)
 
 
@@ -308,7 +301,7 @@ def main(argv=None):
             return _cmd_solve(cp, outdir)
         if args.command == "eigs":
             return _cmd_eigs(cp, outdir)
-        return _cmd_study(cp, outdir, max(1, args.threads))
+        return _cmd_study(cp, outdir)
     except (configparser.Error, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,13 +5,12 @@ Each study runs a parameter ladder (anisotropy g, level height lambda, or a
 time ladder), measures errors or norms with the same accounting the solver
 uses, fits the rates that admit one, and returns a StudyReport that can be
 serialized to a `<name>.report.csv` / `<name>.report.txt` pair.  Reports are
-deterministic for a fixed config: ladder jobs may run on a thread pool but
-results are gathered in ladder order, so the emitted bytes never depend on
-the worker count.
+deterministic for a fixed config: the hg-convergence and operator-rate
+ladders run on `solver._in_order`, which returns results in ladder order,
+so the emitted bytes never depend on the worker count.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,7 @@ from .errors import (
 from .fracop import frac_lap_g, frac_lap_spectral, kappa_limit, lattice_k2
 from .geom import check_dimension
 from .kernels import HGSpec, KernelSpec, energy_constants, hg_limit_b1
-from .solver import PhaseField, run
+from .solver import PhaseField, _in_order, run
 
 # not called here; kept so that perfbench/tracing.py can still wrap these names
 from .solver import energy_functionals, strang_step_energy  # noqa: F401
@@ -267,7 +266,7 @@ def _validate_g_ladder(g_ladder):
     return _validate_ladder("g", g_ladder, lambda g: 0.0 < g < 1.0, "inside (0, 1)")
 
 
-def hg_convergence_study(cfg, u0, g_ladder, threads=1):
+def hg_convergence_study(cfg, u0, g_ladder):
     """
     March the same initial data under the bounded-kernel family and under its
     g -> 1 limit, and measure e(g) = ||u^g(t_end) - u(t_end)||_{L2} over
@@ -289,8 +288,7 @@ def hg_convergence_study(cfg, u0, g_ladder, threads=1):
     def one(g):
         return _final_state(replace(cfg, kernel=HGSpec(base=base, g=g)), u0)
 
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as ex:
-        finals = list(ex.map(one, g_ladder))
+    finals = _in_order(one, g_ladder)
     errs = tuple(
         PhaseField(f.spatial, f.angular, f.values - ref.values).l2() for f in finals
     )
@@ -329,7 +327,7 @@ def hg_convergence_study(cfg, u0, g_ladder, threads=1):
 # operator-level rates
 
 
-def operator_rate_study(psi, s, g_ladder, threads=1):
+def operator_rate_study(psi, s, g_ladder):
     """
     Sup-norm distance between the bounded-kernel operator applied to a
     compactly supported plane field and the limiting fractional Laplacian
@@ -382,8 +380,7 @@ def operator_rate_study(psi, s, g_ladder, threads=1):
         hg = HGSpec(base=KernelSpec(d=d, s=s, b1=1.0), g=g)
         return frac_lap_g(grid, psi.values, hg, targets=targets)
 
-    with ThreadPoolExecutor(max_workers=max(1, int(threads))) as ex:
-        outs = list(ex.map(one, g_ladder))
+    outs = _in_order(one, g_ladder)
     n_in = len(inner_idx)
     ref_in = ref[inner_eval]
     errs = tuple(float(np.max(np.abs(o[:n_in] - ref_in))) for o in outs)

@@ -51,8 +51,6 @@ from .kernels import HGSpec, constants, hg_rescaled, limiting_kernel
 
 #: nonincreasing-eigenvalue slack, relative to the largest magnitude
 EIG_MONOTONE_TOL = 1.0e-10
-#: discrete Parseval / exactness guard used by the transforms
-TRANSFORM_TOL = 1.0e-10
 #: `funk_hecke_eigs` stops refining once the eigenvalues move by at most
 #: EIG_RTOL relative, and fails if they still move by more than EIG_FAIL_TOL
 EIG_RTOL = 1e-8

@@ -40,10 +40,10 @@ one ifft.  At d = 3 it goes FOLD_BLOCK_ROWS rows at a time: each block's real
 and imaginary parts are folded about the equator into north + south and
 north - south, which the even and the odd harmonics (parity (-1)^(l + m))
 project with two half-size products, and unfolded after the synthesis.  The
-blocks are independent but for three sums, so they run on one thread per CPU
-the process may use, in contiguous chunks, and the sums are taken in block
-order afterwards: no output bit depends on the thread count.  The
-projected engine copies the real and imaginary parts into one real batch of
+blocks are independent but for three sums, so `_in_order` steps them in
+contiguous chunks, one thread per CPU the process may use, and the sums are
+taken in block order afterwards: no output bit depends on the thread count.
+The projected engine copies the real and imaginary parts into one real batch of
 rows, steps it and writes it back.  The per-step checks read the spectrum
 (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
 half-step and irfftn run only when a diagnostics row or a snapshot needs
@@ -89,9 +89,11 @@ two plane FFT seminorms it replaces up to d = 2 n = 512 and lost at 1024
 nodes, so every d = 3 plane (at least 1024 nodes) keeps the FFTs.
 """
 
+import functools
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -336,25 +338,21 @@ def _transport_table(spatial, angular, tau):
     stream = k.copy()
     stream[nyq] = 0.0
     phase = np.empty(g.shape[:-1] + (nyq + 1, theta.shape[0]))
-    _dot_theta(phase, stream, theta)
+    _dot_theta(phase, [stream] * g.d, theta)
     phase *= -tau
     table = np.empty(phase.shape, complex)
     np.cos(phase, out=table.real)
     np.sin(phase, out=table.imag)
     # k - stream is nonzero only on the Nyquist planes, so only they take
-    # the fold's cosine, each plane summed over the axes as `_dot_theta`
-    # sums, in the bytes of phase; a row on more than one plane takes it on
-    # the first and 1 on the rest
+    # the fold's cosine, each plane's phase summed by `_dot_theta` in the
+    # bytes of phase; a row on more than one plane takes it on the first and
+    # 1 on the rest
     fold_k = k - stream
     for a in range(g.d):
         at = (slice(None),) * a + (slice(nyq, nyq + 1),)
         plane, fold = table[at], phase[at]
-        fold[...] = 0.0
-        for b in range(g.d):
-            shape = [1] * fold.ndim
-            shape[b] = fold.shape[b]
-            per_axis = fold_k[nyq : nyq + 1] if b == a else fold_k[: fold.shape[b]]
-            fold += per_axis.reshape(shape) * theta[:, b]
+        per_axis = [fold_k[nyq:] if b == a else fold_k for b in range(g.d)]
+        _dot_theta(fold, per_axis, theta)
         fold *= tau
         np.cos(fold, out=fold)
         for b in range(a):
@@ -364,12 +362,12 @@ def _transport_table(spatial, angular, tau):
 
 
 def _dot_theta(out, per_axis, theta):
-    """out[n, j] = sum_a per_axis[n_a] theta[j, a] on the half-spectrum grid."""
+    """out[n, j] = sum_a per_axis[a][n_a] theta[j, a], per_axis[a] cut to out's axis a."""
     out[...] = 0.0
-    for a in range(theta.shape[1]):
+    for a, vector in enumerate(per_axis):
         shape = [1] * out.ndim
         shape[a] = out.shape[a]
-        out += per_axis[: out.shape[a]].reshape(shape) * theta[:, a]
+        out += vector[: out.shape[a]].reshape(shape) * theta[:, a]
 
 
 def _parseval_weights(spatial):
@@ -444,6 +442,36 @@ def _cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+#: `busy` is set on a thread while it runs a job of `_in_order`
+_pool_job = threading.local()
+
+
+def _workers(n):
+    """min(_cpus(), n) threads for n jobs, but 1 inside a job of `_in_order`."""
+    return 1 if getattr(_pool_job, "busy", False) else min(_cpus(), n)
+
+
+def _in_order(job, items):
+    """[job(x) for x in items] on _workers(len(items)) threads, the package's
+    one thread pool: the caller runs the first item and a pool the others.
+    The pool is closed before this returns, also when a job raises, and a
+    call from inside a job runs its items inline."""
+    workers = _workers(len(items))
+    if workers <= 1:
+        return [job(x) for x in items]
+
+    def marked(x):
+        _pool_job.busy = True
+        try:
+            return job(x)
+        finally:
+            _pool_job.busy = False
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        rest = [pool.submit(marked, x) for x in items[1:]]
+        return [marked(items[0])] + [future.result() for future in rest]
 
 
 class _Engine:
@@ -684,14 +712,11 @@ class _SpectralEngine(_Engine):
         to E and O, which unfold back to north = (E + O) / 2 and
         south = (E - O) / 2.
 
-        The blocks touch disjoint rows, so they are split into W = min(CPUs
-        this process may run on, blocks) contiguous chunks: the calling
-        thread steps chunk 0 in the engine's own slots, and a pool of W - 1
-        threads, closed before this returns, steps the others, chunk i in
-        slot set i.  numpy releases the interpreter lock in the folds,
-        products and ufuncs.  Each block returns its per-mode masses and
-        its ||u||^2 before and after, and they are added in block order, as
-        one thread would, so no output bit depends on W.
+        The blocks touch disjoint rows, so `_in_order` steps them in W =
+        `_workers(blocks)` contiguous chunks, chunk i in slot set i; numpy
+        releases the interpreter lock in the folds, products and ufuncs.
+        Each block's per-mode masses and ||u||^2 before and after are added
+        in block order, as one thread would, so no output bit depends on W.
         """
         rings, az, even_rings, odd_rings = self.fold_shape
         # a step writes rows through this view, so it may not be a copy
@@ -744,25 +769,17 @@ class _SpectralEngine(_Engine):
             return per_mode, before, after
 
         starts = range(0, planes.shape[0], FOLD_BLOCK_ROWS)
-        chunks = np.array_split(starts, min(_cpus(), len(starts)))
+        chunks = np.array_split(starts, _workers(len(starts)))
         while len(self._slot_sets) < len(chunks):
             self._slot_sets.append({})
 
         def fold_chunk(i):
             return [fold_block(start, self._slot_sets[i]) for start in chunks[i]]
 
-        if len(chunks) == 1:
-            blocks = fold_chunk(0)
-        else:
-            # leaving the block waits for every thread, also when one raises
-            with ThreadPoolExecutor(len(chunks) - 1) as pool:
-                rest = [pool.submit(fold_chunk, i) for i in range(1, len(chunks))]
-                blocks = fold_chunk(0)
-                for future in rest:
-                    blocks += future.result()
+        blocks = _in_order(fold_chunk, range(len(chunks)))
         per_mode = np.zeros(len(self.degrees))
         before, after = 0.0, (0.0 if stepping else None)
-        for block_mode, block_before, block_after in blocks:
+        for block_mode, block_before, block_after in sum(blocks, []):
             per_mode += block_mode
             before += block_before
             if stepping:
@@ -861,12 +878,7 @@ class _ProjectedEngine(_Engine):
             self.hmat = None
         # two-thirds rule along each plane axis
         keep = np.abs(np.fft.fftfreq(grid.n)) <= 1.0 / 3.0
-        mask = np.ones(grid.shape, dtype=bool)
-        for a in range(grid.ndim):
-            shape = [1] * grid.ndim
-            shape[a] = grid.n
-            mask = mask & keep.reshape(shape)
-        self.filter_mask = mask
+        self.filter_mask = functools.reduce(np.logical_and.outer, [keep] * grid.ndim)
         n = len(angular.weights)
         self.wsum = float(angular.weights.sum())
         if dt is None:
@@ -1154,10 +1166,7 @@ def _spatial_gaussian(spatial, sigma, center):
         for k in (-1.0, 0.0, 1.0):
             p += np.exp(-((ax - center[a] - k * spatial.X) ** 2) / (2.0 * sigma**2))
         prof.append(p)
-    out = prof[0]
-    for p in prof[1:]:
-        out = np.multiply.outer(out, p)
-    return out
+    return functools.reduce(np.multiply.outer, prof)
 
 
 def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
@@ -1206,6 +1215,11 @@ def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
             phi = np.arctan2(nodes[:, 1], nodes[:, 0])
             harm = np.cos(degree * phi)
         else:
+            # the basis is (degree + 1)^2 columns, so bound it by the grid
+            projected = isinstance(angular, ProjectedAngularGrid)
+            cap = angular.plane.n // 2 if projected else angular.lmax_cap()
+            if degree > cap:
+                raise ParameterOutOfRange(f"need degree <= {cap} on this grid, got {degree}")
             col = basis_at_directions(3, nodes, degree)[:, degree**2]
             harm = col / np.max(np.abs(col))
         ang = 1.0 + contrast * harm

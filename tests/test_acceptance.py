@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 from scipy.special import eval_legendre, lpmv
 
-from prte import geom
+from prte import geom, solver
 from prte.errors import BoundaryLeakage
 from prte.experiments import (
     decay_study,
@@ -402,15 +402,17 @@ def test_12_sup_norm_decay():
     )
 
 
-def test_13_determinism(tmp_path):
+def test_13_determinism(tmp_path, monkeypatch):
     grid = SpatialGrid(2, 8.0, 32)
     ang = sphere_quadrature(2, 64)
     u0 = make_initial("gaussian-beam", grid, ang, sigma=1.0, sigma_theta=0.6)
     cfg = SolverConfig(kernel=SPEC2, dt=0.02, t_end=0.5, lmax=32)
     blobs = []
-    for threads in (1, 3):
-        report = hg_convergence_study(cfg, u0, (0.8, 0.9, 0.95), threads=threads)
-        out = tmp_path / f"t{threads}"
+    for workers in (1, 3):
+        # the ladder's worker count is the CPUs the process may use
+        monkeypatch.setattr(solver, "_cpus", lambda: workers)
+        report = hg_convergence_study(cfg, u0, (0.8, 0.9, 0.95))
+        out = tmp_path / f"t{workers}"
         out.mkdir()
         write_report(report, out)
         blobs.append((out / "hg-convergence.report.csv").read_bytes())

@@ -1,7 +1,7 @@
 """`tools/bench_pairs.py`: what it records of one CLI job, how far two
 sides' output directories are apart, whether a traced run's last line is a
-result the benchmark can read, and the counts of a tier-1 run's summary
-line."""
+result the benchmark can read, and the counts and slowest tests of a
+tier-1 run."""
 
 import importlib.util
 import json
@@ -157,3 +157,35 @@ def test_traced_line_ok(bench_pairs, stdout, ok):
 def test_pytest_counts(bench_pairs, stdout, counts):
     got = bench_pairs.pytest_counts(stdout)
     assert (got["passed"], got["failed"], got["skipped"], got["errors"]) == counts
+
+
+DURATIONS = """\
+........................................................................ [100%]
+============================= slowest 3 durations ==============================
+9.21s call     tests/test_experiments.py::TestOperatorRate::test_d3_rate_and_tail
+0.52s setup    tests/test_cli.py::TestSolve::test_beam_run_artifacts[d3-16]
+0.01s teardown tests/test_x.py::test_y
+413 passed in 76.65s (0:01:16)
+"""
+SLOWEST = [
+    ("tests/test_experiments.py::TestOperatorRate::test_d3_rate_and_tail", "call", 9.21),
+    ("tests/test_cli.py::TestSolve::test_beam_run_artifacts[d3-16]", "setup", 0.52),
+    ("tests/test_x.py::test_y", "teardown", 0.01),
+]
+HIDDEN = "(1 durations < 0.005s hidden.  Use -vv to show these durations.)"
+
+
+@pytest.mark.parametrize(
+    "stdout, slowest",
+    [
+        (DURATIONS, SLOWEST),
+        (DURATIONS.replace("0.01s teardown tests/test_x.py::test_y", HIDDEN), SLOWEST[:2]),
+        ("....\n354 passed in 76.75s (0:01:16)\n", []),
+    ],
+    ids=["three", "hidden-line", "none"],
+)
+def test_slowest_tests(bench_pairs, stdout, slowest):
+    """The rows of pytest's --durations section, slowest first, up to the
+    first line that is not one."""
+    got = bench_pairs.slowest_tests(stdout)
+    assert [(row["test"], row["phase"], row["s"]) for row in got] == slowest

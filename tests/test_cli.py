@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import prte
+from prte import solver
 from prte.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -168,10 +169,11 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
 
-    @pytest.mark.parametrize("command", ["solve", "eigs"])
+    @pytest.mark.parametrize("command", ["solve", "eigs", "study"])
     def test_threads_is_a_usage_error_outside_study(self, tmp_path, capsys, command):
-        """--threads bounds only the study ladders, so solve and eigs reject
-        it as argparse does any unknown flag (exit 2) and write nothing."""
+        """There is no --threads: the CPUs the process may use size every
+        thread pool, so each command rejects it as argparse does any unknown
+        flag (exit 2) and writes nothing."""
         cfg = write_ini(tmp_path, BEAM_SOLVE)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
@@ -228,6 +230,16 @@ class TestConfigValidation:
                     "m = 32": "m = 8",
                     "angles = 64": "angles = 6",
                     "kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = -1",
+                },
+            ),
+            (
+                "solve",
+                BEAM_SOLVE,
+                {
+                    "dimension = 2": "dimension = 3",
+                    "m = 32": "m = 8",
+                    "angles = 64": "angles = 4",
+                    "kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = 100000",
                 },
             ),
             ("study", LEVEL_SET_STUDY, {"ladder = 0.0,0.25,0.5": "ladder = 0,nan,0.5"}),
@@ -288,6 +300,7 @@ class TestConfigValidation:
             "beam-sigma-theta-tiny-projected",
             "beam-sigma-theta-tiny-sphere",
             "degree-negative-d3",
+            "degree-huge-d3",
             "level-set-lambda-nan",
             "level-set-lambda-inf",
             "decay-n-ladder-negative",
@@ -460,14 +473,13 @@ class TestStudyDispatch:
 class TestDeterminism:
     """Same config, same build: bytes never depend on the worker count."""
 
-    def test_study_report_bytes_across_threads(self, tmp_path):
+    def test_study_report_bytes_across_threads(self, tmp_path, monkeypatch):
         cfg = write_ini(tmp_path, HG_STUDY)
         blobs = []
-        for threads, tag in ((1, "a"), (3, "b")):
+        for workers, tag in ((1, "a"), (3, "b")):
             out = tmp_path / tag
-            code = main(
-                ["study", "--config", cfg, "--out", str(out), "--threads", str(threads)]
-            )
+            monkeypatch.setattr(solver, "_cpus", lambda: workers)
+            code = main(["study", "--config", cfg, "--out", str(out)])
             assert code == EXIT_OK
             blobs.append(open(out / "hg-convergence.report.csv", "rb").read())
         assert blobs[0] == blobs[1], "thread count leaked into the report bytes"

@@ -1,11 +1,14 @@
 """Verification studies: report plumbing, rate fits, and the five studies."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from prte import experiments, solver
 from prte.errors import (
+    InvariantViolation,
     NonMonotoneConvergence,
     ParameterOutOfRange,
     WindowTooShort,
@@ -217,10 +220,31 @@ class TestHGConvergence:
         with pytest.raises(NonMonotoneConvergence):
             hg_convergence_study(self.cfg(), beam2, [0.5, 0.7, 0.85])
 
-    def test_threads_do_not_change_bits(self, beam2):
-        a = hg_convergence_study(self.cfg(), beam2, [0.8, 0.9, 0.95], threads=1)
-        b = hg_convergence_study(self.cfg(), beam2, [0.8, 0.9, 0.95], threads=3)
+    def test_threads_do_not_change_bits(self, beam2, monkeypatch):
+        monkeypatch.setattr(solver, "_cpus", lambda: 1)
+        a = hg_convergence_study(self.cfg(), beam2, [0.8, 0.9, 0.95])
+        monkeypatch.setattr(solver, "_cpus", lambda: 3)
+        b = hg_convergence_study(self.cfg(), beam2, [0.8, 0.9, 0.95])
         assert a.values == b.values, "worker count leaked into the measurements"
+
+    def test_no_thread_outlives_a_ladder(self, beam2, monkeypatch):
+        """The ladder's pool is closed before the study returns, also when a
+        ladder job on a pool thread raises."""
+        monkeypatch.setattr(solver, "_cpus", lambda: 3)
+        threads = threading.active_count()
+        hg_convergence_study(self.cfg(), beam2, [0.8, 0.9, 0.95])
+        assert threading.active_count() == threads
+        final_state = experiments._final_state
+
+        def fail_off_the_main_thread(cfg, u0):
+            if threading.current_thread() is not threading.main_thread():
+                raise InvariantViolation("raised by a ladder job on a pool thread")
+            return final_state(cfg, u0)
+
+        monkeypatch.setattr(experiments, "_final_state", fail_off_the_main_thread)
+        with pytest.raises(InvariantViolation, match="pool thread"):
+            hg_convergence_study(self.cfg(), beam2, [0.8, 0.9, 0.95])
+        assert threading.active_count() == threads
 
     def test_ladder_validation(self, beam2):
         for bad in ([0.8, 0.9], [0.9, 0.8, 0.95], [0.5, 0.7, 1.0]):

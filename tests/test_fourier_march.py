@@ -207,9 +207,9 @@ def test_transport_table_matches_exp_form(d, m, angular):
     stream = k.copy()
     stream[m // 2] = 0.0
     phase = np.empty(grid.shape[:-1] + (m // 2 + 1, theta.shape[0]))
-    _dot_theta(phase, stream, theta)
+    _dot_theta(phase, [stream] * d, theta)
     want = np.exp(phase * (-1j * tau))
-    _dot_theta(phase, k - stream, theta)
+    _dot_theta(phase, [k - stream] * d, theta)
     want *= np.cos(phase * tau)
     got = _transport_table(grid, angular, tau)
     assert np.array_equal(got, want)
@@ -606,6 +606,41 @@ def test_d3_fold_blocks_do_not_depend_on_workers(rings, stepping, monkeypatch):
         got.append((resolved.tobytes(), unresolved, after, rows.tobytes()))
     assert len(eng._slot_sets) == 3
     assert got[1] == got[0] and got[2] == got[0]
+
+
+def test_in_order_keeps_item_order(monkeypatch):
+    """`_in_order` returns the results in item order when a later item
+    finishes first: on 3 workers each item waits for the next to finish."""
+    _force_workers(monkeypatch, 3)
+    done = [threading.Event() for _ in range(3)]
+    finished = []
+
+    def job(i):
+        if i + 1 < len(done):
+            assert done[i + 1].wait(timeout=30), f"item {i + 1} never finished"
+        finished.append(i)
+        done[i].set()
+        return 10 * i
+
+    assert solver._in_order(job, range(3)) == [0, 10, 20]
+    assert finished == [2, 1, 0]
+
+
+def test_in_order_runs_a_nested_call_inline(monkeypatch):
+    """A call from inside a job runs its items on the job's own thread, so a
+    ladder of d = 3 runs never steps on more than `_cpus()` threads; the
+    calling thread may open a pool again afterwards."""
+    _force_workers(monkeypatch, 3)
+
+    def outer(i):
+        inner = solver._in_order(lambda j: threading.get_ident(), range(3))
+        return threading.get_ident(), inner
+
+    got = solver._in_order(outer, range(3))
+    assert got[0][0] == threading.get_ident() != got[1][0]
+    for ident, inner in got:
+        assert inner == [ident] * 3
+    assert solver._workers(3) == 3
 
 
 def test_no_thread_outlives_a_d3_run(monkeypatch):

@@ -180,6 +180,15 @@ class TestMakeInitial:
         assert u.min_value() >= 0.0
         assert u.mass() == pytest.approx(blob.mass(), rel=1e-10)
 
+    def test_harmonic_degree_bound_d3(self, grid3, ang3):
+        """At d = 3 the degree may not pass what the angular grid resolves:
+        lmax_cap() on a sphere rule, n // 2 on a projected plane."""
+        plane = ProjectedAngularGrid(PlaneGrid(3, 8.0, 32))
+        for angular, cap in ((ang3, ang3.lmax_cap()), (plane, 16)):
+            make_initial("harmonic-perturbation", grid3, angular, degree=cap)
+            with pytest.raises(ParameterOutOfRange, match="degree"):
+                make_initial("harmonic-perturbation", grid3, angular, degree=cap + 1)
+
     def test_rejects_bad_requests(self, grid2, ang2):
         with pytest.raises(UnknownKind):
             make_initial("square-wave", grid2, ang2)

@@ -26,8 +26,9 @@ Where they did not, `outputs_max_rel_dev` records how far apart they are
 every workload at the first seed (`--seconds 0 --trace 1`), and
 `traced_line_ok` records whether its last line is a result the benchmark
 can read (see `traced_line_ok`).  Last, each side runs the tier-1 suite
-(`TIER1_COMMAND`) once, and `tier1` records its wall time and its passed,
-failed, skipped and error counts.
+(`TIER1_COMMAND`) once, and `tier1` records its wall time, its passed,
+failed, skipped and error counts, and its ten slowest tests (pytest's
+`--durations=10`), so that a change in tier-1 time shows where it came from.
 
 The result goes to `BENCH_<label>.json` in this checkout's root: per workload, seed and end-to-end metric, each side's samples,
 median, quartiles and range, the head/base ratio of the medians, the head's
@@ -59,7 +60,7 @@ from workloads import WORKLOADS, beam_for_seed, config_text  # noqa: E402
 #: a clear gain wins at least this share of the pairs
 WIN_SHARE = 0.9
 #: the tier-1 suite, run from the root of a side with its src/ on PYTHONPATH
-TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+TIER1_COMMAND = ("-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=10")
 
 
 def end_to_end_metrics():
@@ -177,13 +178,30 @@ def pytest_counts(stdout):
     return counts
 
 
+def slowest_tests(stdout):
+    """[{test, phase, s}] from the "slowest N durations" section of a pytest
+    run's output, slowest first ([] where it has none)."""
+    rows, inside = [], False
+    for line in stdout.splitlines():
+        if re.search(r"slowest \d+ durations", line):
+            inside = True
+        elif inside:
+            found = re.fullmatch(r"([\d.]+)s (\w+) +(\S+)", line.strip())
+            if not found:
+                break
+            rows.append({"test": found[3], "phase": found[2], "s": float(found[1])})
+    return rows
+
+
 def tier1_once(tree):
-    """Wall time (s) and pytest_counts of one tier-1 run on `tree`."""
+    """Wall time (s), pytest_counts and slowest_tests of one tier-1 run on
+    `tree`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1_COMMAND], cwd=tree, env=env,
                           capture_output=True, text=True)
-    return {"wall_s": time.perf_counter() - start, **pytest_counts(proc.stdout)}
+    return {"wall_s": time.perf_counter() - start, **pytest_counts(proc.stdout),
+            "slowest": slowest_tests(proc.stdout)}
 
 
 def same_outputs(a, b):

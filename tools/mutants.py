@@ -61,11 +61,12 @@ MUTANTS = (
         "fold[(slice(None),) * b + (nyq,)] = 1.0",
         "pass",
     ),
+    Mutant("block-order sum", SOLVER, "sum(blocks, [])", "blocks[0]"),
     Mutant(
-        "block-order sum",
+        "pool results in order",
         SOLVER,
-        "blocks += future.result()",
-        "future.result()",
+        "[future.result() for future in rest]",
+        "[future.result() for future in reversed(rest)]",
     ),
     Mutant(
         "fused half-steps",
