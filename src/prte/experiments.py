@@ -5,9 +5,9 @@ Each study runs a parameter ladder (anisotropy g, level height lambda, or a
 time ladder), measures errors or norms with the same accounting the solver
 uses, fits the rates that admit one, and returns a StudyReport that can be
 serialized to a `<name>.report.csv` / `<name>.report.txt` pair.  Reports are
-deterministic for a fixed config: the hg-convergence and operator-rate
-ladders run on `solver._in_order`, which returns results in ladder order,
-so the emitted bytes never depend on the worker count.
+deterministic for a fixed config: ladder jobs run one at a time, in ladder
+order, and a d = 3 march gives the same bits on any number of threads (see
+`solver`), so the emitted bytes never depend on the CPU count.
 """
 
 import os
@@ -23,7 +23,7 @@ from .errors import (
 from .fracop import frac_lap_g, frac_lap_spectral, kappa_limit, lattice_k2
 from .geom import check_dimension
 from .kernels import HGSpec, KernelSpec, energy_constants, hg_limit_b1
-from .solver import PhaseField, _in_order, run
+from .solver import PhaseField, run
 
 # not called here; kept so that perfbench/tracing.py can still wrap these names
 from .solver import energy_functionals, strang_step_energy  # noqa: F401
@@ -288,7 +288,7 @@ def hg_convergence_study(cfg, u0, g_ladder):
     def one(g):
         return _final_state(replace(cfg, kernel=HGSpec(base=base, g=g)), u0)
 
-    finals = _in_order(one, g_ladder)
+    finals = [one(g) for g in g_ladder]
     errs = tuple(
         PhaseField(f.spatial, f.angular, f.values - ref.values).l2() for f in finals
     )
@@ -380,7 +380,7 @@ def operator_rate_study(psi, s, g_ladder):
         hg = HGSpec(base=KernelSpec(d=d, s=s, b1=1.0), g=g)
         return frac_lap_g(grid, psi.values, hg, targets=targets)
 
-    outs = _in_order(one, g_ladder)
+    outs = [one(g) for g in g_ladder]
     n_in = len(inner_idx)
     ref_in = ref[inner_eval]
     errs = tuple(float(np.max(np.abs(o[:n_in] - ref_in))) for o in outs)

@@ -26,7 +26,6 @@ The Bessel identity (-Lap)^s <v>^{-(d-1-2s)} = c_bessel <v>^{-(d-1+2s)} gives
 a self-contained accuracy probe, exposed as ``bessel_identity_residual``.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -171,7 +170,11 @@ def _check_leakage(grid, f, who):
 def lattice_k2(k, ndim):
     """|k|^2 on the ndim-dimensional tensor lattice of the per-axis
     wavenumbers k, FFT order: k_0^2 + k_1^2 + ..., summed in axis order."""
-    return functools.reduce(np.add.outer, [k**2] * ndim)
+    sq = k**2
+    k2 = sq
+    for _ in range(1, ndim):
+        k2 = np.add.outer(k2, sq)
+    return k2
 
 
 def parseval_weights(n, ndim, cell_volume):

@@ -51,6 +51,8 @@ from .kernels import HGSpec, constants, hg_rescaled, limiting_kernel
 
 #: nonincreasing-eigenvalue slack, relative to the largest magnitude
 EIG_MONOTONE_TOL = 1.0e-10
+#: discrete Parseval / exactness guard used by the transforms
+TRANSFORM_TOL = 1.0e-10
 #: `funk_hecke_eigs` stops refining once the eigenvalues move by at most
 #: EIG_RTOL relative, and fails if they still move by more than EIG_FAIL_TOL
 EIG_RTOL = 1e-8
@@ -178,6 +180,27 @@ def _real_harmonics_d3(dirs, lmax):
             else:
                 out[..., l * l + l] = cur
     return out
+
+
+def sectoral_harmonic(dirs, l):
+    """
+    Column l^2 of basis_at_directions(3, dirs, l), sqrt(2) P_l^l(cos th)
+    sin(l ph) (the constant at l = 0), by `_real_harmonics_d3`'s recurrence
+    without the other columns: O(len(dirs) * l) time, O(len(dirs)) memory.
+    Once P_m^m has underflowed to 0 at every direction it stays 0, so the
+    recurrence stops there.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    z = np.clip(dirs[..., 2], -1.0, 1.0)
+    sin_th = np.sqrt((1.0 - z) * (1.0 + z))
+    p_mm = np.full(z.shape, 1.0 / np.sqrt(4.0 * np.pi))
+    for m in range(1, l + 1):
+        p_mm = np.sqrt((2.0 * m + 1.0) / (2.0 * m)) * sin_th * p_mm
+        if not p_mm.any():
+            break
+    if l == 0:
+        return p_mm
+    return p_mm * (np.sqrt(2.0) * np.sin(l * np.arctan2(dirs[..., 1], dirs[..., 0])))
 
 
 def basis_at_directions(d, dirs, lmax):

@@ -43,8 +43,8 @@ project with two half-size products, and unfolded after the synthesis.  The
 blocks are independent but for three sums, so `_in_order` steps them in
 contiguous chunks, one thread per CPU the process may use, and the sums are
 taken in block order afterwards: no output bit depends on the thread count.
-The projected engine copies the real and imaginary parts into one real batch of
-rows, steps it and writes it back.  The per-step checks read the spectrum
+The projected engine copies the real and imaginary parts into one real batch
+of rows, steps it and writes it back.  The per-step checks read the spectrum
 (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
 half-step and irfftn run only when a diagnostics row or a snapshot needs
 physical values.  Physical fields reach an engine only through
@@ -89,11 +89,9 @@ two plane FFT seminorms it replaces up to d = 2 n = 512 and lost at 1024
 nodes, so every d = 3 plane (at least 1024 nodes) keeps the FFTs.
 """
 
-import functools
 import math
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -114,6 +112,7 @@ from .scatter import (
     basis_at_directions,
     funk_hecke_eigs,
     mode_degrees,
+    sectoral_harmonic,
 )
 
 SNAPSHOT_MAGIC = b"PRTE"
@@ -362,7 +361,8 @@ def _transport_table(spatial, angular, tau):
 
 
 def _dot_theta(out, per_axis, theta):
-    """out[n, j] = sum_a per_axis[a][n_a] theta[j, a], per_axis[a] cut to out's axis a."""
+    """out[n, j] = sum_a per_axis[a][n_a] theta[j, a], each per_axis[a] cut
+    to the length of out's axis a."""
     out[...] = 0.0
     for a, vector in enumerate(per_axis):
         shape = [1] * out.ndim
@@ -444,34 +444,15 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-#: `busy` is set on a thread while it runs a job of `_in_order`
-_pool_job = threading.local()
-
-
-def _workers(n):
-    """min(_cpus(), n) threads for n jobs, but 1 inside a job of `_in_order`."""
-    return 1 if getattr(_pool_job, "busy", False) else min(_cpus(), n)
-
-
 def _in_order(job, items):
-    """[job(x) for x in items] on _workers(len(items)) threads, the package's
-    one thread pool: the caller runs the first item and a pool the others.
-    The pool is closed before this returns, also when a job raises, and a
-    call from inside a job runs its items inline."""
-    workers = _workers(len(items))
+    """[job(x) for x in items] on min(_cpus(), len(items)) threads, the
+    package's one thread pool, with the results in item order.  The pool is
+    closed before this returns, also when a job raises."""
+    workers = min(_cpus(), len(items))
     if workers <= 1:
         return [job(x) for x in items]
-
-    def marked(x):
-        _pool_job.busy = True
-        try:
-            return job(x)
-        finally:
-            _pool_job.busy = False
-
-    with ThreadPoolExecutor(workers - 1) as pool:
-        rest = [pool.submit(marked, x) for x in items[1:]]
-        return [marked(items[0])] + [future.result() for future in rest]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(job, items))
 
 
 class _Engine:
@@ -713,7 +694,7 @@ class _SpectralEngine(_Engine):
         south = (E - O) / 2.
 
         The blocks touch disjoint rows, so `_in_order` steps them in W =
-        `_workers(blocks)` contiguous chunks, chunk i in slot set i; numpy
+        min(CPUs, blocks) contiguous chunks, chunk i in slot set i; numpy
         releases the interpreter lock in the folds, products and ufuncs.
         Each block's per-mode masses and ||u||^2 before and after are added
         in block order, as one thread would, so no output bit depends on W.
@@ -769,7 +750,7 @@ class _SpectralEngine(_Engine):
             return per_mode, before, after
 
         starts = range(0, planes.shape[0], FOLD_BLOCK_ROWS)
-        chunks = np.array_split(starts, _workers(len(starts)))
+        chunks = np.array_split(starts, min(_cpus(), len(starts)))
         while len(self._slot_sets) < len(chunks):
             self._slot_sets.append({})
 
@@ -878,7 +859,12 @@ class _ProjectedEngine(_Engine):
             self.hmat = None
         # two-thirds rule along each plane axis
         keep = np.abs(np.fft.fftfreq(grid.n)) <= 1.0 / 3.0
-        self.filter_mask = functools.reduce(np.logical_and.outer, [keep] * grid.ndim)
+        mask = np.ones(grid.shape, dtype=bool)
+        for a in range(grid.ndim):
+            shape = [1] * grid.ndim
+            shape[a] = grid.n
+            mask = mask & keep.reshape(shape)
+        self.filter_mask = mask
         n = len(angular.weights)
         self.wsum = float(angular.weights.sum())
         if dt is None:
@@ -1166,7 +1152,10 @@ def _spatial_gaussian(spatial, sigma, center):
         for k in (-1.0, 0.0, 1.0):
             p += np.exp(-((ax - center[a] - k * spatial.X) ** 2) / (2.0 * sigma**2))
         prof.append(p)
-    return functools.reduce(np.multiply.outer, prof)
+    out = prof[0]
+    for p in prof[1:]:
+        out = np.multiply.outer(out, p)
+    return out
 
 
 def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
@@ -1215,13 +1204,13 @@ def make_initial(kind, spatial, angular, amplitude=1.0, sigma=None, center=None,
             phi = np.arctan2(nodes[:, 1], nodes[:, 0])
             harm = np.cos(degree * phi)
         else:
-            # the basis is (degree + 1)^2 columns, so bound it by the grid
-            projected = isinstance(angular, ProjectedAngularGrid)
-            cap = angular.plane.n // 2 if projected else angular.lmax_cap()
-            if degree > cap:
-                raise ParameterOutOfRange(f"need degree <= {cap} on this grid, got {degree}")
-            col = basis_at_directions(3, nodes, degree)[:, degree**2]
-            harm = col / np.max(np.abs(col))
+            col = sectoral_harmonic(nodes, degree)
+            peak = np.max(np.abs(col))
+            if not peak > 0.0:
+                raise ParameterOutOfRange(
+                    f"the degree {degree} harmonic is 0 at every node of this grid"
+                )
+            harm = col / peak
         ang = 1.0 + contrast * harm
     else:
         raise UnknownKind(

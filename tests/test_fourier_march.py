@@ -626,21 +626,19 @@ def test_in_order_keeps_item_order(monkeypatch):
     assert finished == [2, 1, 0]
 
 
-def test_in_order_runs_a_nested_call_inline(monkeypatch):
-    """A call from inside a job runs its items on the job's own thread, so a
-    ladder of d = 3 runs never steps on more than `_cpus()` threads; the
-    calling thread may open a pool again afterwards."""
-    _force_workers(monkeypatch, 3)
+def test_in_order_spreads_items_over_every_worker(monkeypatch):
+    """More items than workers still keep every worker busy: on 2 workers,
+    4 items that meet in pairs at a barrier finish, which they could not if
+    one thread ran three of them one after another."""
+    _force_workers(monkeypatch, 2)
+    pair = threading.Barrier(2, timeout=30)
 
-    def outer(i):
-        inner = solver._in_order(lambda j: threading.get_ident(), range(3))
-        return threading.get_ident(), inner
+    def job(i):
+        pair.wait()
+        return threading.get_ident()
 
-    got = solver._in_order(outer, range(3))
-    assert got[0][0] == threading.get_ident() != got[1][0]
-    for ident, inner in got:
-        assert inner == [ident] * 3
-    assert solver._workers(3) == 3
+    idents = solver._in_order(job, range(4))
+    assert len(set(idents[:2])) == 2 and len(set(idents[2:])) == 2
 
 
 def test_no_thread_outlives_a_d3_run(monkeypatch):

@@ -24,7 +24,12 @@ from prte.errors import (
 )
 from prte.fracop import PlaneGrid
 from prte.kernels import HGSpec, KernelSpec
-from prte.scatter import basis_at_directions, funk_hecke_eigs, sphere_quadrature
+from prte.scatter import (
+    basis_at_directions,
+    funk_hecke_eigs,
+    sectoral_harmonic,
+    sphere_quadrature,
+)
 from prte.solver import (
     DIAGNOSTICS_HEADER,
     SNAPSHOT_HEADER_BYTES,
@@ -180,14 +185,33 @@ class TestMakeInitial:
         assert u.min_value() >= 0.0
         assert u.mass() == pytest.approx(blob.mass(), rel=1e-10)
 
-    def test_harmonic_degree_bound_d3(self, grid3, ang3):
-        """At d = 3 the degree may not pass what the angular grid resolves:
-        lmax_cap() on a sphere rule, n // 2 on a projected plane."""
+    def test_harmonic_column_d3(self, grid3, ang3):
+        """At d = 3 the perturbation is column degree^2 of the harmonic
+        basis; `sectoral_harmonic` computes it alone with the same bytes,
+        also past the rule's lmax_cap()."""
         plane = ProjectedAngularGrid(PlaneGrid(3, 8.0, 32))
-        for angular, cap in ((ang3, ang3.lmax_cap()), (plane, 16)):
-            make_initial("harmonic-perturbation", grid3, angular, degree=cap)
-            with pytest.raises(ParameterOutOfRange, match="degree"):
-                make_initial("harmonic-perturbation", grid3, angular, degree=cap + 1)
+        for nodes in (ang3.nodes, plane.nodes):
+            for degree in (0, 1, 2, 9, ang3.lmax_cap() + 5):
+                want = basis_at_directions(3, nodes, degree)[:, degree**2]
+                assert sectoral_harmonic(nodes, degree).tobytes() == want.tobytes()
+
+    def test_harmonic_degree_d3_needs_no_basis(self):
+        """Degree n // 2 on a 256^2 projected plane reads one column instead
+        of building the (degree + 1)^2 columns (8.7 GB), and a degree whose
+        column is 0 at every node (P_l^l underflowed) is out of range."""
+        grid = SpatialGrid(3, 8.0, 2)
+        plane = ProjectedAngularGrid(PlaneGrid(3, 16.0, 256))
+        tracemalloc.start()
+        try:
+            u = make_initial("harmonic-perturbation", grid, plane, degree=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+        assert np.all(np.isfinite(u.values))
+        coarse = sphere_quadrature(3, 4)
+        with pytest.raises(ParameterOutOfRange, match="degree 100000"):
+            make_initial("harmonic-perturbation", grid, coarse, degree=100000)
 
     def test_rejects_bad_requests(self, grid2, ang2):
         with pytest.raises(UnknownKind):

@@ -65,8 +65,9 @@ MUTANTS = (
     Mutant(
         "pool results in order",
         SOLVER,
-        "[future.result() for future in rest]",
-        "[future.result() for future in reversed(rest)]",
+        "list(pool.map(job, items))",
+        "[f.result() for f in __import__('concurrent.futures').futures.as_completed("
+        "[pool.submit(job, x) for x in items])]",
     ),
     Mutant(
         "fused half-steps",
