@@ -42,8 +42,9 @@ LEAKAGE_FRACTION = 1.0e-6
 INTERIOR_FRACTION = 0.5
 #: radius of `frac_lap_quadrature`'s Taylor-corrected near field
 NEAR_RADIUS = 1.0
-#: target rows per dense kernel block of `frac_lap_g` (memory control)
-HG_BLOCK = 2048
+#: target rows per dense kernel block of `frac_lap_g` (memory control: a
+#: d = 3 n = 128 block holds 256 x 16384 doubles per kernel-sized array)
+HG_BLOCK = 256
 #: `frac_lap_g`'s exterior frame reaches HG_FAR_FACTOR * L, sampled at
 #: HG_COARSE_FACTOR times the lattice spacing
 HG_FAR_FACTOR = 8.0

@@ -36,13 +36,14 @@ Parseval weight; `scatter_spectrum` is each engine's one stepping entry.  The
 sphere-spectral engine steps the complex rows themselves.  At d = 2 that is
 one complex fft along the angle axis, the per-degree masses from the bin
 powers, a multiply by the even table exp(lambda_|k| dt) over the fft bins,
-one ifft.  At d = 3 it goes FOLD_BLOCK_ROWS rows at a time: each block's real
-and imaginary parts are folded about the equator into north + south and
-north - south, which the even and the odd harmonics (parity (-1)^(l + m))
-project with two half-size products, and unfolded after the synthesis.  The
-blocks are independent but for three sums, so `_in_order` steps them in
-contiguous chunks, one thread per CPU the process may use, and the sums are
-taken in block order afterwards: no output bit depends on the thread count.
+one ifft.  At d = 3 the rule is rings x uniform azimuths, on which the map
+is circulant in azimuth too, and it goes SPHERE_BLOCK_ROWS rows at a time:
+an fft along each ring, one small polar product per azimuthal order |k| <=
+lmax for the coefficients and one for their synthesis times
+expm1(lambda_l dt), added to those bins, and an ifft.  The blocks are
+independent but for three sums, so `_in_order` steps them in contiguous
+chunks, one thread per CPU the process may use, and the sums are taken in
+block order afterwards: no output bit depends on the thread count.
 The projected engine copies the real and imaginary parts into one real batch
 of rows, steps it and writes it back.  The per-step checks read the spectrum
 (mass from the k = 0 row, where H = 1; L2 by Parseval), and the last
@@ -111,7 +112,6 @@ from .scatter import (
     SphereQuadrature,
     basis_at_directions,
     funk_hecke_eigs,
-    mode_degrees,
     sectoral_harmonic,
 )
 
@@ -127,12 +127,12 @@ L2_STEP_TOL = 1e-10
 MASS_TOL = 1e-8
 #: post-step growth that trips the projected-backend stability check
 GROWTH_TOL = 1e-8
-#: spectrum rows a d = 3 sphere-spectral substep folds and steps at a time.
-#: On the 16 x 32 node rule at lmax 15 (2304 complex rows), blocks of 32,
-#: 64, 128, 256 and 512 rows took 60, 58, 65, 69 and 87 ms a substep on
-#: one BLAS thread (2-core Xeon, numpy 2.4.6): the block's folded rows stay
-#: in cache between the fold, the four products and the unfold
-FOLD_BLOCK_ROWS = 64
+#: spectrum rows a d = 3 sphere-spectral substep steps at a time.  On the
+#: 16 x 32 node rule at lmax 15 (2304 complex rows, one thread, 2-core Xeon,
+#: numpy 2.4.6) blocks of 32, 64 and 128 rows took 33-34, 31-36 and 34-53 ms
+#: a substep at best (the equator fold it replaced: 49-63 ms); on the 32 x 64
+#: rule at lmax 31, 170-209, 207-221 and 283-315 ms (the fold: 349-359 ms)
+SPHERE_BLOCK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -466,28 +466,28 @@ class _Engine:
     lends its bytes to the next temporary.  The slots:
 
     ``batch``  the spectrum's real and imaginary parts as one real batch
-               (projected), or a field's real rows packed two to a complex
-               row for `functionals` (d=2 spectral);
+               (projected), or a field's real rows cast to complex rows for
+               `functionals` (spectral; at d=3 one block of them);
     ``out``    a second array at least the batch's size: the bin powers
                (d=2 spectral) or the substep's output (projected);
     ``coef``   a block's harmonic coefficients (d=3 spectral) or plane
                half-spectra (projected, FFT route);
-    ``fold``   a block's rows folded about the equator (d=3 spectral);
-    ``synth``  a block's squares and synthesis (d=3 spectral).
+    ``bins``   a block's squares, then its gathered fft bins, their
+               coefficients' squares and their increments (d=3 spectral).
 
-    The d=3 spectral slots hold one block of FOLD_BLOCK_ROWS rows, not a
+    The d=3 spectral slots hold one block of SPHERE_BLOCK_ROWS rows, not a
     batch.  That substep steps its blocks in W contiguous chunks, one per
-    worker thread (see `_folded`), and chunk i takes its "fold", "coef" and
-    "synth" from slot set i of `_slot_sets`: set 0 is the engine's own
-    slots, and the others are made on first use and kept for the engine's
-    life.  The blocks' sums are added in block order, so no number depends
-    on W.  All are dead between steps, so an emit (`field`, `norms`) builds
-    each field and its norms in them.  What the engine returns is valid
-    until its next call.  Each engine has one stepping method,
-    `scatter_spectrum(spec, row_weight)`: it scatters the spectrum in place
-    and returns the substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau,
-    and ||u||^2 after it.  An engine built with dt = None does not step and
-    serves `functionals` only.
+    worker thread (see `_per_order`), and chunk i takes its slots from slot
+    set i of `_slot_sets`: set 0 is the engine's own slots, and the others
+    are made on first use and kept for the engine's life.  The blocks' sums
+    are added in block order, so no number depends on W.  All are dead
+    between steps, so an emit (`field`, `norms`) builds each field and its
+    norms in them.  What the engine returns is valid until its next call.
+    Each engine has one stepping method, `scatter_spectrum(spec,
+    row_weight)`: it scatters the spectrum in place and returns the
+    substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and ||u||^2 after
+    it.  An engine built with dt = None does not step and serves
+    `functionals` only.
     """
 
     def __init__(self, dt):
@@ -538,19 +538,18 @@ class _SpectralEngine(_Engine):
     powers |Z_k|^2 folded to per-degree masses over k = +-l, a multiply by
     the even real table exp(lambda_|k| dt) over the fft bins, and an ifft.
     The marcher's spectrum is stepped as it is, one complex row per spatial
-    bin.  For `functionals` a field's real rows are packed two to a complex
-    row a + ib, whose bin powers hold the masses of a and b (see `_pack`
-    and `_bin_masses`).  The engine is diagonal on every resolvable
-    circular bin, so its lmax is angles // 2 whatever the config's lmax
-    says.
+    bin; `functionals` casts a field's real rows to complex rows first (see
+    `_fft_rows`).  The engine is diagonal on every resolvable circular bin,
+    so its lmax is angles // 2 whatever the config's lmax says.
 
-    At d = 3 the basis is the real spherical harmonics on a ring rule
-    mirrored about the equator, and the substep steps the spectrum's rows
-    in place, a block of FOLD_BLOCK_ROWS rows at a time: each block is
-    folded into its sums and differences across the equator, projected by
-    two half-size products, one per parity class (-1)^(l + m), multiplied
-    by expm1(lambda_l dt), synthesized back by two more and unfolded (see
-    `_folded`).
+    At d = 3 the basis is the real spherical harmonics on a ring x
+    uniform-azimuth rule, where the map is also circulant in azimuth, so it
+    splits into an fft along each ring and one polar matrix per azimuthal
+    order (as in SHTns).  The substep steps the spectrum's rows in place,
+    SPHERE_BLOCK_ROWS rows at a time: an fft along the rings, one batched
+    product over the orders |k| <= lmax for the coefficients, one more for
+    their synthesis times expm1(lambda_l dt), added to the bins, and an
+    ifft (see `_per_order`).
     """
 
     def __init__(self, kernel, angular, lmax, dt):
@@ -575,7 +574,8 @@ class _SpectralEngine(_Engine):
             self.node_weight = 2.0 * np.pi / m
             self.bin_scale = self.node_weight / m
         else:
-            self._fold_tables(angular)
+            polar = self._polar_table(angular)
+            self.project = self.ring_weight[:, None] * polar
         if dt is None:
             return
         if _null_kernel(kernel):
@@ -583,8 +583,9 @@ class _SpectralEngine(_Engine):
         else:
             lam = funk_hecke_eigs(kernel, self.lmax).lambdas
         if self.d == 3:
-            # the substep adds the synthesis of coefficients * factor
-            self.factor = np.expm1(lam[self.degrees] * dt)
+            # bin k of ring i gains az sum_l P_l^|k|(t_i) expm1(lambda_l dt) C_l[k]
+            grow = self.ring_shape[1] * np.expm1(lam * dt)
+            self.increment = np.ascontiguousarray((polar * grow).transpose(0, 2, 1))
         else:
             self.factor = np.exp(lam * dt)
             # the factor of each fft bin, once per float of a complex row
@@ -594,88 +595,77 @@ class _SpectralEngine(_Engine):
         nz = lam != 0.0
         self.decay[nz] = np.expm1(2.0 * lam[nz] * dt) / (2.0 * lam[nz])
 
-    def _fold_tables(self, angular):
+    def _polar_table(self, angular):
         """
-        The d = 3 tables of `_folded`, on the north rings only.  The nodes
-        are rings of equal size, and ring i mirrors ring rings - 1 - i under
-        z -> -z (as `polar_quadrature` builds them, exactly), so a harmonic
-        of degree l and order m takes the value (-1)^(l + m) times its north
-        value on the mirrored south node.  With an odd ring count the
-        equator ring is its own mirror image: it counts half to each side,
-        so its folded value is twice u and its north weight half its own.
-        Odd harmonics vanish there exactly, so only the even class holds it.
+        The d = 3 polar factors of `_per_order`, (2 lmax + 1, rings, lmax + 1):
+        P_l^|k|(t_i) at ring i for degree l and each gathered fft bin k =
+        0..lmax, -lmax..-1, and 0 where l < |k|.  The rule must be rings of
+        az nodes, ring i at one polar cosine t_i and one weight w_i, node j
+        at azimuth 2 pi j / az (as `polar_quadrature` builds them), with
+        2 lmax < az so that the bins are distinct.  There the harmonics of
+        order m > 0 are sqrt(2) P_l^m(t) times cos(m phi) and sin(m phi),
+        which read a ring's fft bins Z[+-m].  With the coefficients
+        C_l[k] = sum_i w_i P_l^|k|(t_i) Z_i[k], a row's mass of degree l is
+        sum_|k|<=l |C_l[k]|^2, and adding c * g_l of every harmonic adds
+        az g_l P_l^|k|(t_i) C_l[k] to Z_i[k].  P is the basis at azimuth 0,
+        the m > 0 columns divided by sqrt(2).
         """
-        z = angular.nodes[:, 2]
-        n = len(z)
-        changes = np.flatnonzero(z != z[0])
+        nodes, n = angular.nodes, len(angular.weights)
+        changes = np.flatnonzero(nodes[:, 2] != nodes[0, 2])
         az = int(changes[0]) if changes.size else n
         rings = n // az
-        nodes = angular.nodes.reshape(rings, az, 3)
-        w = angular.weights.reshape(rings, az)
+        first = nodes[: rings * az : az]
+        phi = 2.0 * np.pi * np.arange(az) / az
+        spin = np.stack([np.cos(phi), np.sin(phi), np.ones(az)], axis=-1)
+        product = (first[:, None, [0, 0, 2]] * spin).reshape(-1, 3)
+        w = angular.weights[: rings * az : az]
         if not (
             rings * az == n
-            and np.array_equal(nodes[::-1] * [1.0, 1.0, -1.0], nodes)
-            and np.array_equal(w[::-1], w)
+            and 2 * self.lmax < az
+            and np.allclose(nodes, product, rtol=0.0, atol=1e-12)
+            and np.allclose(angular.weights, np.repeat(w, az), rtol=1e-12, atol=0.0)
         ):
             raise ParameterOutOfRange(
-                "sphere-spectral d = 3 needs rings mirrored about the equator, "
-                "as polar_quadrature builds them"
+                "sphere-spectral d = 3 needs rings of equally weighted nodes at "
+                "azimuths 2 pi j / az with 2 lmax < az, as polar_quadrature builds them"
             )
-        even_rings, odd_rings = (rings + 1) // 2, rings // 2
-        north = nodes[rings - even_rings :].reshape(-1, 3)
-        basis = basis_at_directions(3, north, self.lmax)
-        wn = w[rings - even_rings :].copy()
-        wn[: even_rings - odd_rings] *= 0.5
-        wn = wn.ravel()
-        degrees = mode_degrees(3, self.lmax)
-        order = np.abs(np.arange(len(degrees)) - degrees * (degrees + 1))
-        even = (degrees + order) % 2 == 0
-        off = (even_rings - odd_rings) * az
-        self.fold_shape = (rings, az, even_rings, odd_rings)
-        self.forward = (
-            wn[:, None] * basis[:, even],
-            wn[off:, None] * basis[off:, ~even],
-        )
-        self.synthesis = (
-            np.ascontiguousarray(2.0 * basis[:, even].T),
-            np.ascontiguousarray(2.0 * basis[off:, ~even].T),
-        )
-        self.degrees = np.concatenate([degrees[even], degrees[~even]])
-        # ||u||^2 = sum_north (wn / 2) (E^2 + O^2) over the folded rows
-        self.norm_weight = 0.5 * np.concatenate([wn, wn[off:]])
+        self.ring_shape = (rings, az)
+        self.ring_weight = w
+        basis = basis_at_directions(3, first, self.lmax)
+        l = np.arange(self.lmax + 1)
+        orders = np.abs(np.r_[0 : self.lmax + 1, -self.lmax : 0])[:, None]
+        polar = np.where(l >= orders, basis[:, l * l + l + orders], 0.0)
+        polar[:, orders[:, 0] > 0] /= np.sqrt(2.0)
+        return polar.transpose(1, 0, 2)
 
-    def _pack(self, values):
+    def _fft_rows(self, rows, in_place, slots=None):
         """
-        The real rows of values, (..., n), packed two to a complex row of
-        the batch: row p is a + ib with a = row p and b = row p + pairs, and
-        b = 0 in the last pair when the row count is odd.
+        The fft of rows along the last axis: in their own bytes when
+        `in_place`, which needs complex rows, and else in the "batch" slot of
+        slot set `slots`, where real rows are cast to complex first so that
+        numpy makes no complex copy of them.
         """
-        n = values.shape[-1]
-        flat = values.reshape(-1, n)
-        rows = flat.shape[0]
-        pairs = (rows + 1) // 2
-        z = self._take("batch", (pairs, n), complex)
-        np.copyto(z.real, flat[:pairs])
-        np.copyto(z.imag[: rows - pairs], flat[pairs:])
-        z.imag[rows - pairs :] = 0.0
-        return z
+        if not in_place:
+            z = self._take("batch", rows.shape, complex, slots)
+            np.copyto(z, rows)
+            rows = z
+        return np.fft.fft(rows, axis=-1, out=rows)
 
     def _bin_masses(self, z, row_weight):
         """
-        Per-degree masses of the complex (..., n) array z, which is replaced
-        by its fft along the angle axis.  Row r weighs row_weight_r (or one
-        scalar for all).  A row's |Z_l|^2 + |Z_-l|^2 is the sum of its real
-        and imaginary parts' masses of degree l, so the bin powers fold to
-        masses.  The powers take the "out" slot.
+        Per-degree masses of the (..., n) fft bins z of rows along the angle
+        axis.  Row r weighs row_weight_r (or one scalar for all).  A row's
+        |Z_l|^2 + |Z_-l|^2 is the sum of its real and imaginary parts'
+        masses of degree l, so the bin powers fold to masses.  The powers
+        take the "out" slot.
         """
-        np.fft.fft(z, axis=-1, out=z)
         parts = z.view(float)
         sq = np.square(parts, out=self._take("out", parts.shape))
         per_bin = _row_sum(row_weight, sq).reshape(-1, 2).sum(axis=1)
         masses = np.bincount(self.bin_degree, per_bin, minlength=self.lmax + 1)
         return masses * self.bin_scale
 
-    def _folded(self, rows, row_weight, stepping):
+    def _per_order(self, rows, row_weight, stepping):
         """
         Per-degree harmonic masses (d = 3) of rows, a C-ordered (..., n)
         array, real or complex, and the beyond-band remainder; row r weighs
@@ -683,99 +673,88 @@ class _SpectralEngine(_Engine):
         imaginary parts.  When `stepping`, rows is also scattered in place,
         and ||u||^2 after it is returned (else None).
 
-        It works FOLD_BLOCK_ROWS rows at a time.  A block's parts are folded
-        about the equator into [E | O] in the "fold" slot, E = north +
-        mirrored south and O = north - mirrored south, so that a projection
-        is one product with the north even-class table and one with the odd
-        (see `_fold_tables`), each half the dense one's size.  Before and
-        after the step ||u||^2 is the quadrature of E^2 + O^2 with the north
-        weights halved.  The step adds 2 basis^T times coefficients * factor
-        to E and O, which unfold back to north = (E + O) / 2 and
-        south = (E - O) / 2.
+        It works SPHERE_BLOCK_ROWS rows at a time.  A block's rings are
+        replaced by their fft (the march's spectrum in place, real rows in a
+        complex slot, see `_fft_rows`), and the bins k = 0..lmax, -lmax..-1
+        of every ring are gathered in the "bins" slot, one real row of
+        rings values per part and bin.  One batched product with the polar
+        table, one small GEMM per bin, gives the coefficients C_l[k] in the
+        "coef" slot, and the masses are sum |C|^2 (see `_polar_table`).  A
+        step adds a second product, the synthesis times expm1(lambda_l dt),
+        to the gathered bins and ifft's the block.  ||u||^2 before and after
+        is the quadrature of the block's squares, before the fft and after
+        the ifft.
 
         The blocks touch disjoint rows, so `_in_order` steps them in W =
         min(CPUs, blocks) contiguous chunks, chunk i in slot set i; numpy
-        releases the interpreter lock in the folds, products and ufuncs.
-        Each block's per-mode masses and ||u||^2 before and after are added
+        releases the interpreter lock in the ffts, products and ufuncs.
+        Each block's per-degree masses and ||u||^2 before and after are added
         in block order, as one thread would, so no output bit depends on W.
         """
-        rings, az, even_rings, odd_rings = self.fold_shape
+        rings, az = self.ring_shape
+        lmax = self.lmax
         # a step writes rows through this view, so it may not be a copy
         flat = rows.reshape(-1, rings * az, copy=False if stepping else None)
-        if np.iscomplexobj(flat):
-            planes = flat.view(float).reshape(-1, rings, az, 2).transpose(0, 3, 1, 2)
-        else:
-            planes = flat.reshape(-1, 1, rings, az)
-        parts = planes.shape[1]
-        # each part of a row weighs the row's weight
+        # ||u||^2 of a row is the quadrature of its parts' squares
+        values = flat.view(float)
+        quad_weight = np.repeat(self.angular.weights, values.shape[1] // flat.shape[1])
         w = np.ravel(row_weight)
-        w = w if w.size == 1 else np.repeat(w, parts)
-        (fwd_even, fwd_odd), (syn_even, syn_odd) = self.forward, self.synthesis
-        n_even = even_rings * az
-        k_even = fwd_even.shape[1]
-        # 1 with an odd ring count: the equator ring, first of the north ones
-        eq = even_rings - odd_rings
+        # the gathered bins -lmax..-1 of a ring; bins 0..lmax come first
+        negative = slice(az - lmax, az)
 
-        def fold_block(start, slots):
-            block = planes[start : start + FOLD_BLOCK_ROWS]
-            count = block.shape[0]
-            north = block[:, :, rings - even_rings :]
-            south = block[:, :, even_rings - 1 :: -1]
-            shape = (count, parts, even_rings + odd_rings, az)
-            fold = self._take("fold", shape, slots=slots)
-            even, odd = fold[:, :, :even_rings], fold[:, :, even_rings:]
-            np.add(north, south, out=even)
-            np.subtract(north[:, :, eq:], south[:, :, eq:], out=odd)
-            fold = fold.reshape(count * parts, -1)
-            weight = w if w.size == 1 else w[start * parts : start * parts + len(fold)]
-            scratch = self._take("synth", fold.shape, slots=slots)
-            before = _norm_sq(fold, self.norm_weight, weight, scratch)
-            coef = self._take("coef", (len(fold), len(self.degrees)), slots=slots)
-            np.matmul(fold[:, :n_even], fwd_even, out=coef[:, :k_even])
-            np.matmul(fold[:, n_even:], fwd_odd, out=coef[:, k_even:])
-            sq = np.square(coef, out=self._take("synth", coef.shape, slots=slots))
-            per_mode = _row_sum(weight, sq)
+        def order_block(start, slots):
+            block = values[start : start + SPHERE_BLOCK_ROWS]
+            count = len(block)
+            weight = np.broadcast_to(w if w.size == 1 else w[start : start + count], count)
+            scratch = self._take("bins", block.shape, slots=slots)
+            before = _norm_sq(block, quad_weight, weight, scratch)
+            rows = flat[start : start + count].reshape(count, rings, az)
+            z = self._fft_rows(rows, stepping, slots)
+            # bin, row, part, ring
+            parts = z.view(float).reshape(count, rings, az, 2).transpose(2, 0, 3, 1)
+            shape = (2 * lmax + 1, count, 2, rings)
+            bins = self._take("bins", shape, slots=slots)
+            np.copyto(bins[: lmax + 1], parts[: lmax + 1])
+            np.copyto(bins[lmax + 1 :], parts[negative])
+            bins = bins.reshape(len(bins), 2 * count, rings)
+            coef = self._take("coef", bins.shape[:2] + (lmax + 1,), slots=slots)
+            np.matmul(bins, self.project, out=coef)
+            sq = np.square(coef, out=self._take("bins", coef.shape, slots=slots))
+            per_degree = np.matmul(np.repeat(weight, 2), sq).sum(axis=0)
             if not stepping:
-                return per_mode, before, None
-            np.multiply(coef, self.factor, out=coef)
-            np.matmul(coef[:, :k_even], syn_even, out=scratch[:, :n_even])
-            np.matmul(coef[:, k_even:], syn_odd, out=scratch[:, n_even:])
-            np.add(fold, scratch, out=fold)
-            after = _norm_sq(fold, self.norm_weight, weight, scratch)
-            np.add(even[:, :, eq:], odd, out=north[:, :, eq:])
-            np.subtract(even[:, :, eq:], odd, out=south[:, :, eq:])
-            if eq:
-                np.copyto(north[:, :, 0], even[:, :, 0])
-            flat[start : start + count] *= 0.5
-            return per_mode, before, after
+                return per_degree, before, None
+            grow = np.matmul(coef, self.increment, out=bins).reshape(shape)
+            np.add(parts[: lmax + 1], grow[: lmax + 1], out=parts[: lmax + 1])
+            np.add(parts[negative], grow[lmax + 1 :], out=parts[negative])
+            np.fft.ifft(z, axis=-1, out=z)
+            after = _norm_sq(block, quad_weight, weight, scratch)
+            return per_degree, before, after
 
-        starts = range(0, planes.shape[0], FOLD_BLOCK_ROWS)
+        starts = range(0, len(flat), SPHERE_BLOCK_ROWS)
         chunks = np.array_split(starts, min(_cpus(), len(starts)))
         while len(self._slot_sets) < len(chunks):
             self._slot_sets.append({})
 
-        def fold_chunk(i):
-            return [fold_block(start, self._slot_sets[i]) for start in chunks[i]]
+        def order_chunk(i):
+            return [order_block(start, self._slot_sets[i]) for start in chunks[i]]
 
-        blocks = _in_order(fold_chunk, range(len(chunks)))
-        per_mode = np.zeros(len(self.degrees))
+        blocks = _in_order(order_chunk, range(len(chunks)))
+        resolved = np.zeros(lmax + 1)
         before, after = 0.0, (0.0 if stepping else None)
-        for block_mode, block_before, block_after in sum(blocks, []):
-            per_mode += block_mode
+        for block_degree, block_before, block_after in sum(blocks, []):
+            resolved += block_degree
             before += block_before
             if stepping:
                 after += block_after
-        resolved = np.bincount(self.degrees, per_mode, minlength=self.lmax + 1)
         return resolved, max(before - float(resolved.sum()), 0.0), after
 
     def functionals(self, values, row_weight):
-        """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting;
-        at d = 2 row_weight is one scalar, since rows are packed in pairs."""
+        """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
         if self.d == 2:
-            resolved = self._bin_masses(self._pack(values), row_weight)
-            unresolved = 0.0
+            rows = self._fft_rows(values.reshape(-1, values.shape[-1]), False)
+            resolved, unresolved = self._bin_masses(rows, row_weight), 0.0
         else:
-            resolved, unresolved, _ = self._folded(values, row_weight, stepping=False)
+            resolved, unresolved, _ = self._per_order(values, row_weight, False)
         l2sq = float(resolved.sum()) + unresolved
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
@@ -788,14 +767,15 @@ class _SpectralEngine(_Engine):
         from the stepped rows.
         """
         if self.d == 2:
-            resolved, unresolved = self._bin_masses(spec, row_weight), 0.0
+            resolved = self._bin_masses(self._fft_rows(spec, True), row_weight)
+            unresolved = 0.0
             parts = spec.view(float)
             np.multiply(parts, self.bin_factor, out=parts)
             np.fft.ifft(spec, axis=-1, out=spec)
             per_row = np.einsum("...j,...j->...", parts, parts)
             l2sq = float(_row_sum(row_weight, per_row[..., None])[0]) * self.node_weight
         else:
-            resolved, unresolved, l2sq = self._folded(spec, row_weight, stepping=True)
+            resolved, unresolved, l2sq = self._per_order(spec, row_weight, True)
         l2_int = float(np.sum(resolved * self.decay)) + unresolved * self.dt
         hs_int = float(np.sum(self.sigma * resolved * self.decay))
         return l2_int, hs_int, l2sq

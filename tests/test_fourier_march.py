@@ -23,10 +23,11 @@ import numpy as np
 import pytest
 
 from prte import solver
-from prte.errors import InvariantViolation
+from prte.errors import InvariantViolation, ParameterOutOfRange
 from prte.fracop import PlaneGrid, parseval_weights
 from prte.kernels import KernelSpec
 from prte.scatter import (
+    SphereQuadrature,
     basis_at_directions,
     funk_hecke_eigs,
     mode_degrees,
@@ -34,7 +35,7 @@ from prte.scatter import (
     sphere_quadrature,
 )
 from prte.solver import (
-    FOLD_BLOCK_ROWS,
+    SPHERE_BLOCK_ROWS,
     PhaseField,
     ProjectedAngularGrid,
     SolverConfig,
@@ -390,16 +391,16 @@ def test_d2_scatter_spectrum_matches_dense_map(angles):
 
 @pytest.mark.parametrize("angles", D2_ANGLES)
 @pytest.mark.parametrize("rows", [6, 7])
-@pytest.mark.parametrize("weights", ["scalar"])
+@pytest.mark.parametrize("weights", ["scalar", "per-row"])
 def test_d2_functionals_and_masses_match_rfft_route(angles, rows, weights):
-    """Physical rows, packed two to a complex row (one zero row padded when
-    the count is odd) at one scalar weight, as `functionals` takes them."""
+    """Physical rows, cast to complex rows in the batch and fft'd there, as
+    `functionals` takes them."""
     eng = _d2_engine(angles)
     rng = np.random.default_rng(40 + rows)
     values = rng.random((rows, angles))
     weight = _row_weights(weights, rows, rng)
     masses = rfft_masses(values, weight)
-    assert rel_dev(eng._bin_masses(eng._pack(values), weight), masses) <= REL_TOL
+    assert rel_dev(eng._bin_masses(eng._fft_rows(values, False), weight), masses) <= REL_TOL
     l2sq, hssq = eng.functionals(values, weight)
     assert_close(l2sq, float(masses.sum()))
     assert_close(hssq, float(np.sum(eng.sigma * masses)))
@@ -414,14 +415,14 @@ def test_d2_functionals_and_masses_match_rfft_route(angles, rows, weights):
 #: mirror image
 D3_RINGS = (6, 7)
 #: more than two blocks, and not a whole number of them
-D3_ROWS = 2 * FOLD_BLOCK_ROWS + 7
+D3_ROWS = 2 * SPHERE_BLOCK_ROWS + 7
 
 
-def _d3_engine(rings):
+def _d3_engine(rings, azimuths=None, lmax=5):
     grid = SpatialGrid(3, 8.0, 4)
-    angular = sphere_quadrature(3, rings)
+    angular = polar_quadrature(rings, azimuths)
     u = PhaseField(grid, angular, np.ones(grid.shape + (len(angular.weights),)))
-    cfg = SolverConfig(kernel=SPEC3, dt=0.05, t_end=0.05, lmax=5)
+    cfg = SolverConfig(kernel=SPEC3, dt=0.05, t_end=0.05, lmax=lmax)
     return _engine_for(cfg, u)
 
 
@@ -455,9 +456,9 @@ def assert_step_integrals(eng, l2_int, hs_int, masses, rest):
 
 @pytest.mark.parametrize("rings", D3_RINGS)
 def test_d3_harmonics_have_exact_parity(rings):
-    """The fold rests on this: on polar_quadrature's rings, mirrored about
-    the equator, each real harmonic's south values are exactly (-1)^(l + m)
-    times its north values, and the odd ones vanish on an equator ring."""
+    """On polar_quadrature's rings, mirrored about the equator, each real
+    harmonic's south values are exactly (-1)^(l + m) times its north values,
+    and the odd ones vanish on an equator ring."""
     angular = polar_quadrature(rings)
     lmax = angular.lmax_cap()
     basis = basis_at_directions(3, angular.nodes, lmax).reshape(rings, -1, (lmax + 1) ** 2)
@@ -492,7 +493,7 @@ def test_d3_scatter_spectrum_matches_dense_map(rings, weights):
 @pytest.mark.parametrize("rings", D3_RINGS)
 @pytest.mark.parametrize("weights", ["scalar", "per-row"])
 def test_d3_functionals_match_dense_masses(rings, weights):
-    """`functionals` reads real rows through the fold's real-row branch:
+    """`functionals` reads real rows through the real-row branch:
     ||u||^2 is the dense masses plus the beyond-band rest, ||u||^2_Hs the
     sigma-weighted masses, and the rows are not written."""
     eng = _d3_engine(rings)
@@ -516,13 +517,74 @@ def test_d3_functionals_and_masses_match_dense_projection(rings, weights):
     weight = _row_weights(weights, D3_ROWS, rng)
     masses, rest = dense_masses_d3(eng, values, weight)
     total = norm_sq(values, weight, eng.angular)
-    resolved, unresolved, after = eng._folded(values, weight, stepping=False)
+    resolved, unresolved, after = eng._per_order(values, weight, stepping=False)
     assert after is None
     assert rel_dev(resolved, masses) <= REL_TOL
     assert abs(unresolved - rest) <= REL_TOL * total
     l2sq, hssq = eng.functionals(values, weight)
     assert_close(l2sq, total)
     assert_close(hssq, float(np.sum(eng.sigma * masses)))
+
+
+@pytest.mark.parametrize(
+    "rings, azimuths, lmax",
+    [(8, 10, 8), (16, None, 8)],
+    ids=["cap-from-azimuths", "below-cap"],
+)
+def test_d3_per_order_matches_dense_map_on_more_rules(rings, azimuths, lmax):
+    """The per-order route on two more ring x uniform-azimuth rules: 8 rings
+    of 10 nodes, whose lmax cap 4 is set by the azimuth count, and 16 rings
+    of 32 at lmax 8, below the cap.  The stepped spectrum, the step
+    integrals, ||u||^2 after and the functionals match the dense map."""
+    eng = _d3_engine(rings, azimuths, lmax)
+    assert eng.lmax == (4 if azimuths == 10 else lmax)
+    n = len(eng.angular.weights)
+    rng = np.random.default_rng(100 + rings)
+    spec = rng.standard_normal((D3_ROWS, n)) + 1j * rng.standard_normal((D3_ROWS, n))
+    weight = _row_weights("per-row", D3_ROWS, rng)
+    masses, rest = dense_masses_d3(
+        eng, np.concatenate([spec.real, spec.imag]), np.tile(weight, 2)
+    )
+    want = spec @ dense_map_d3(eng)
+    l2_int, hs_int, l2sq = eng.scatter_spectrum(spec, weight)
+    assert rel_dev(spec, want) <= REL_TOL
+    assert_step_integrals(eng, l2_int, hs_int, masses, rest)
+    assert_close(l2sq, norm_sq(want, weight, eng.angular))
+    values = rng.random((D3_ROWS, n))
+    masses, rest = dense_masses_d3(eng, values, weight)
+    l2sq, hssq = eng.functionals(values, weight)
+    assert_close(l2sq, float(masses.sum()) + rest)
+    assert_close(hssq, float(np.sum(eng.sigma * masses)))
+
+
+def _not_a_product(kind):
+    """polar_quadrature(6) made into a rule the per-order route cannot step."""
+    rule = polar_quadrature(6)
+    nodes, weights, degree = rule.nodes.copy(), rule.weights.copy(), rule.degree
+    if kind == "azimuth-offset":
+        # still uniform in azimuth, but not from azimuth 0
+        turn = np.pi / 12.0
+        c, s = np.cos(turn), np.sin(turn)
+        nodes[:, :2] = nodes[:, :2] @ np.array([[c, s], [-s, c]])
+    elif kind == "scrambled":
+        nodes = nodes[np.random.default_rng(5).permutation(len(nodes))]
+    elif kind == "ring-weights":
+        weights[0::2] *= 1.1
+        weights[1::2] *= 0.9
+    elif kind == "degree-beyond-azimuths":
+        # declared exact to degree 23, so lmax 11, but 12 azimuths hold 5
+        degree = 23
+    return SphereQuadrature(3, nodes, weights, degree)
+
+
+@pytest.mark.parametrize(
+    "kind", ["azimuth-offset", "scrambled", "ring-weights", "degree-beyond-azimuths"]
+)
+def test_d3_engine_rejects_rules_that_are_not_ring_products(kind):
+    """A d = 3 rule that is not rings of equally weighted nodes at azimuths
+    2 pi j / az, with 2 lmax < az, fails when the engine is built."""
+    with pytest.raises(ParameterOutOfRange, match="polar_quadrature"):
+        solver._SpectralEngine(SPEC3, _not_a_product(kind), 11, 0.05)
 
 
 def test_d3_substep_slots_are_block_sized():
@@ -534,17 +596,17 @@ def test_d3_substep_slots_are_block_sized():
     eng = _engine_for(cfg, random_field(grid, angular, seed=29))
     spec = _to_spectrum(random_field(grid, angular, seed=29))
     n = spec.shape[-1]
-    assert spec.size >= 16 * FOLD_BLOCK_ROWS * n
+    assert spec.size >= 16 * SPHERE_BLOCK_ROWS * n
     eng.scatter_spectrum(spec, _parseval_weights(grid))
     assert eng._slots
-    assert max(buf.size for buf in eng._slots.values()) <= FOLD_BLOCK_ROWS * 2 * n * 8
+    assert max(buf.size for buf in eng._slots.values()) <= SPHERE_BLOCK_ROWS * 2 * n * 8
     # one slot set per worker, the first the engine's own, each block-sized
-    blocks = -(-spec.size // n // FOLD_BLOCK_ROWS)
+    blocks = -(-spec.size // n // SPHERE_BLOCK_ROWS)
     assert eng._slot_sets[0] is eng._slots
     assert len(eng._slot_sets) == min(_cpus(), blocks)
     for slots in eng._slot_sets:
         assert slots.keys() == eng._slots.keys()
-        assert max(buf.size for buf in slots.values()) <= FOLD_BLOCK_ROWS * 2 * n * 8
+        assert max(buf.size for buf in slots.values()) <= SPHERE_BLOCK_ROWS * 2 * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +664,7 @@ def test_d3_fold_blocks_do_not_depend_on_workers(rings, stepping, monkeypatch):
     for workers in WORKERS:
         _force_workers(monkeypatch, workers)
         rows = start.copy()
-        resolved, unresolved, after = eng._folded(rows, weight, stepping)
+        resolved, unresolved, after = eng._per_order(rows, weight, stepping)
         got.append((resolved.tobytes(), unresolved, after, rows.tobytes()))
     assert len(eng._slot_sets) == 3
     assert got[1] == got[0] and got[2] == got[0]

@@ -44,10 +44,30 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("equator weight", SOLVER, "wn[: even_rings - odd_rings] *= 0.5", "pass"),
-    Mutant("equator copy", SOLVER, "np.copyto(north[:, :, 0], even[:, :, 0])", "pass"),
-    Mutant("unfold halving", SOLVER, "flat[start : start + count] *= 0.5", "pass"),
-    Mutant("pack pad row", SOLVER, "z.imag[rows - pairs :] = 0.0", "pass"),
+    Mutant(
+        "m > 0 normalisation",
+        SOLVER,
+        "polar[:, orders[:, 0] > 0] /= np.sqrt(2.0)",
+        "pass",
+    ),
+    Mutant(
+        "|k| <= lmax bins",
+        SOLVER,
+        "negative = slice(az - lmax, az)",
+        "negative = slice(az - lmax - 1, az - 1)",
+    ),
+    Mutant(
+        "(2 pi / az) mass scale",
+        SOLVER,
+        "self.project = self.ring_weight[:, None] * polar",
+        "self.project = self.ring_weight[:, None] * polar * self.ring_shape[1] / (2 * np.pi)",
+    ),
+    Mutant(
+        "az synthesis scale",
+        SOLVER,
+        "grow = self.ring_shape[1] * np.expm1(lam * dt)",
+        "grow = 2.0 * np.pi * np.expm1(lam * dt)",
+    ),
     Mutant(
         "Nyquist degree",
         SOLVER,
