@@ -409,7 +409,7 @@ def test_d2_functionals_and_masses_match_rfft_route(angles, rows, weights):
 
 
 # ---------------------------------------------------------------------------
-# the d = 3 folded substep against the dense map
+# the d = 3 per-order substep against the dense map
 
 #: even and odd ring counts: with an odd count the equator ring is its own
 #: mirror image
@@ -588,7 +588,7 @@ def test_d3_engine_rejects_rules_that_are_not_ring_products(kind):
 
 
 def test_d3_substep_slots_are_block_sized():
-    """The d = 3 substep folds, projects and synthesizes one block of rows
+    """The d = 3 substep transforms, projects and synthesizes one block of rows
     at a time: after a step on a spectrum of many blocks, no workspace slot
     holds more than one block's real and imaginary parts."""
     cfg, _, grid, angular = _case("d3-spectral")
@@ -613,7 +613,7 @@ def test_d3_substep_slots_are_block_sized():
 # the d = 3 substep's row blocks on several threads
 
 #: worker counts forced through `solver._cpus`: one thread, and pools whose
-#: chunks are uneven on the marches and the fold rows below
+#: chunks are uneven on the marches and the block rows below
 WORKERS = (1, 2, 3)
 
 
@@ -650,7 +650,7 @@ def test_d3_march_bytes_do_not_depend_on_workers(rings, monkeypatch, tmp_path):
 @pytest.mark.parametrize("rings", D3_RINGS)
 @pytest.mark.parametrize("stepping", [True, False])
 def test_d3_fold_blocks_do_not_depend_on_workers(rings, stepping, monkeypatch):
-    """`_folded` on D3_ROWS per-row-weighted rows, whose last block is
+    """`_per_order` on D3_ROWS per-row-weighted rows, whose last block is
     partial: the masses and the stepped rows have the same bytes, and the
     remainder and ||u||^2 after the same values, on 1, 2 and 3 workers."""
     eng = _d3_engine(rings)
