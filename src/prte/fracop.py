@@ -420,21 +420,19 @@ def hg_kernel(hg, v, vp):
     The regularized interaction 1/delta_g between plane points, broadcasting
     over leading axes of v and vp (components on the last axis).
     """
-    vp = np.asarray(vp, dtype=float)
-    return _hg_kernel(hg, v, vp, _bracket_sq(vp))
+    v, vp = np.asarray(v, dtype=float), np.asarray(vp, dtype=float)
+    return _hg_kernel(hg, v, vp, _bracket_sq(v), _bracket_sq(vp))
 
 
 def _bracket_sq(vp):
-    """1 + |vp|^2 over the last axis: the source points' term of `hg_kernel`,
-    which callers with many targets compute once."""
+    """1 + |vp|^2 over the last axis: the points' term of `hg_kernel`, which
+    `frac_lap_g` computes once for every lattice point."""
     return 1.0 + np.sum(vp * vp, axis=-1)
 
 
-def _hg_kernel(hg, v, vp, brp2):
-    """`hg_kernel` with brp2 = _bracket_sq(vp) given."""
+def _hg_kernel(hg, v, vp, br2, brp2):
+    """`hg_kernel` with br2 = _bracket_sq(v) and brp2 = _bracket_sq(vp) given."""
     g, alpha = hg.g, hg.base.alpha
-    v = np.asarray(v, dtype=float)
-    br2 = _bracket_sq(v)
     diff = v - vp
     q = (1.0 - g) ** 2 * br2 * brp2 + 4.0 * g * np.sum(diff * diff, axis=-1)
     return (1.0 + g) * q ** (-alpha)
@@ -445,15 +443,15 @@ def kappa_limit(d, s):
     return 2.0 ** (2.0 - d - 2.0 * s) / frac_constant(d - 1, s)
 
 
-def _hg_center_correction(grid, hg, targets_pts, lap_at_targets):
-    """Second-order Taylor value of the punctured central cell for the bounded kernel."""
+def _hg_center_correction(grid, hg, br2, lap_at_targets):
+    """Second-order Taylor value of the punctured central cell for the bounded
+    kernel; br2 is 1 + |v|^2 of each target."""
     n = grid.ndim
     g, alpha = hg.g, hg.base.alpha
     r = _equal_volume_radius(grid)
     zq, zw = leggauss(32)
     rho = 0.5 * r * (zq + 1.0)
     w = 0.5 * r * zw
-    br2 = 1.0 + np.sum(targets_pts * targets_pts, axis=-1)
     base = (1.0 - g) ** 2 * br2 * br2  # <v+z> ~ <v> inside one cell
     q = base[:, None] + 4.0 * g * rho[None, :] ** 2
     kern = (1.0 + g) * q ** (-alpha)
@@ -464,11 +462,12 @@ def _hg_center_correction(grid, hg, targets_pts, lap_at_targets):
     return -(lap_at_targets / (2.0 * n)) * i2
 
 
-def _hg_exterior_tail(grid, hg, targets_pts):
+def _hg_exterior_tail(grid, hg, targets_pts, br2):
     """
     T_out(v) = int_{outside the box} 1/delta_g dv' for each target: coarse
     midpoint lattice over the frame [-fL, fL]^n \\ [-L, L]^n, f = HG_FAR_FACTOR,
-    plus the closed power-law remainder beyond fL.
+    plus the closed power-law remainder beyond fL.  br2 is 1 + |v|^2 of each
+    target.
     """
     n = grid.ndim
     g, alpha = hg.g, hg.base.alpha
@@ -485,11 +484,10 @@ def _hg_exterior_tail(grid, hg, targets_pts):
     frame_br2 = _bracket_sq(frame)
     tails = np.empty(len(targets_pts))
     for start in range(0, len(targets_pts), HG_TAIL_BLOCK):
-        v = targets_pts[start : start + HG_TAIL_BLOCK, None, :]
-        kern = _hg_kernel(hg, v, frame, frame_br2)
-        tails[start : start + HG_TAIL_BLOCK] = np.sum(kern, axis=1) * hc**n
+        block = slice(start, start + HG_TAIL_BLOCK)
+        kern = _hg_kernel(hg, targets_pts[block, None], frame, br2[block, None], frame_br2)
+        tails[block] = np.sum(kern, axis=1) * hc**n
     # beyond Rf the kernel is (1+g) (A_inf |v'|^2)^{-alpha} (1 + O(|v|/|v'|))
-    br2 = 1.0 + np.sum(targets_pts * targets_pts, axis=-1)
     a_inf = (1.0 - g) ** 2 * br2 + 4.0 * g
     two_s = 2.0 * alpha - n
     tails += (1.0 + g) * a_inf ** (-alpha) * _ring_area(n) * Rf ** (-two_s) / two_s
@@ -524,14 +522,15 @@ def frac_lap_g(grid, f, hg, targets=None):
     tpts = pts[t_idx]
     vol = grid.cell_volume()
     pts_br2 = _bracket_sq(pts)
+    br2 = pts_br2[t_idx]
     out = np.empty(len(t_idx))
     for start in range(0, len(t_idx), HG_BLOCK):
         sl = slice(start, start + HG_BLOCK)
-        kern = _hg_kernel(hg, tpts[sl][:, None, :], pts, pts_br2)
+        kern = _hg_kernel(hg, tpts[sl, None], pts, br2[sl, None], pts_br2)
         kern[np.arange(len(kern)), t_idx[sl]] = 0.0  # punctured cell handled below
         out[sl] = -vol * (kern @ fflat - kern.sum(axis=1) * fflat[t_idx[sl]])
-    out += _hg_center_correction(grid, hg, tpts, lap[t_idx])
-    out += fflat[t_idx] * _hg_exterior_tail(grid, hg, tpts)
+    out += _hg_center_correction(grid, hg, br2, lap[t_idx])
+    out += fflat[t_idx] * _hg_exterior_tail(grid, hg, tpts, br2)
     return out.reshape(out_shape)
 
 

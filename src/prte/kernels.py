@@ -172,6 +172,8 @@ class KernelSpec:
             if np.any(self.remainder(np.linspace(-1.0, 1.0, 257)) < 0.0):
                 raise ParameterOutOfRange("remainder h must be nonnegative on [-1, 1]")
         object.__setattr__(self, "h_l1", _remainder_mass(self.d, self.h))
+        if not np.isfinite(self.h_l1):
+            raise ParameterOutOfRange(f"need a finite remainder mass, got {self.h_l1}")
 
     @property
     def base(self):
@@ -255,6 +257,8 @@ def constants(spec):
     D = 2.0 ** ((spec.d - 1) / 2.0 - spec.s) * spec.b1 / c_f
     D0 = 2.0 ** (spec.d - 1) * D
     D1 = D * c_b + 2.0 * spec.h_l1
+    if not np.all(np.isfinite([D, D0, D1])):
+        raise ParameterOutOfRange(f"b1 = {spec.b1} overflows the constants D, D0, D1")
     return Constants(c_frac=c_f, c_bessel=c_b, D=D, D0=D0, D1=D1)
 
 

@@ -323,7 +323,8 @@ def _legendre_rows(lmax, t):
 
 def _eig_integral(kernel, lmax, n_panels):
     """All lambda_l on one graded mesh; the grading exponent flattens the
-    (1-t)^{-alpha} endpoint so plain Gauss panels converge spectrally."""
+    (1-t)^{-alpha} endpoint so plain Gauss panels converge spectrally.  A
+    kernel whose integrals overflow is a parameter out of range."""
     d, s = kernel.base.d, kernel.base.s
     ell = np.arange(lmax + 1)[:, None]
     if d == 2:
@@ -332,15 +333,20 @@ def _eig_integral(kernel, lmax, n_panels):
         phi = sig ** (1.0 / (1.0 - s))
         jac = phi / (sig * (1.0 - s))
         bvals = _kernel_on(kernel, np.cos(phi))
-        osc = np.cos(ell * phi[None, :]) - 1.0
-        return 2.0 * np.sum(osc * (bvals * jac * wts)[None, :], axis=1)
-    # 2 pi int_{-1}^{1} (P_l(t) - 1) b(t) dt,  1 - t = tau^{1/(1-s)}
-    tau, wts = _graded_panels(2.0 ** (1.0 - s), n_panels)
-    t = 1.0 - tau ** (1.0 / (1.0 - s))
-    jac = (1.0 - t) / (tau * (1.0 - s))
-    bvals = _kernel_on(kernel, t)
-    poly = _legendre_rows(lmax, t) - 1.0
-    return 2.0 * np.pi * np.sum(poly * (bvals * jac * wts)[None, :], axis=1)
+        rows, ring = np.cos(ell * phi[None, :]) - 1.0, 2.0
+    else:
+        # 2 pi int_{-1}^{1} (P_l(t) - 1) b(t) dt,  1 - t = tau^{1/(1-s)}
+        tau, wts = _graded_panels(2.0 ** (1.0 - s), n_panels)
+        t = 1.0 - tau ** (1.0 / (1.0 - s))
+        jac = (1.0 - t) / (tau * (1.0 - s))
+        bvals = _kernel_on(kernel, t)
+        rows, ring = _legendre_rows(lmax, t) - 1.0, 2.0 * np.pi
+    lam = ring * np.sum(rows * (bvals * jac * wts)[None, :], axis=1)
+    if not np.all(np.isfinite(lam)):
+        raise ParameterOutOfRange(
+            f"the kernel's Funk-Hecke integrals are not finite on {n_panels} panels"
+        )
+    return lam
 
 
 def funk_hecke_eigs(kernel, lmax):

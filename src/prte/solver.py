@@ -37,10 +37,12 @@ sphere-spectral engine steps the complex rows themselves.  At d = 2 that is
 one complex fft along the angle axis, the per-degree masses from the bin
 powers, a multiply by the even table exp(lambda_|k| dt) over the fft bins,
 one ifft.  At d = 3 the rule is rings x uniform azimuths, on which the map
-is circulant in azimuth too, and it goes SPHERE_BLOCK_ROWS rows at a time:
-an fft along each ring, one small polar product per azimuthal order |k| <=
-lmax for the coefficients and one for their synthesis times
-expm1(lambda_l dt), added to those bins, and an ifft.  The blocks are
+is circulant in azimuth too, and it goes SPHERE_BLOCK_ROWS rows at a time
+in bin-major order: an fft along each ring into a (bin, ring, row) slot, one
+small polar product per fft bin for the coefficients and one for their
+synthesis times expm1(lambda_l dt) (the tables are 0 on the bins
+|k| > lmax), one contiguous add into the slot, and an ifft back into the
+rows.  The blocks are
 independent but for three sums, so `_in_order` steps them in contiguous
 chunks, one thread per CPU the process may use, and the sums are taken in
 block order afterwards: no output bit depends on the thread count.
@@ -466,14 +468,16 @@ class _Engine:
     lends its bytes to the next temporary.  The slots:
 
     ``batch``  the spectrum's real and imaginary parts as one real batch
-               (projected), or a field's real rows cast to complex rows for
-               `functionals` (spectral; at d=3 one block of them);
+               (projected), a field's real rows cast to complex rows for
+               `functionals` (d=2 spectral), or one block of spectrum or
+               field rows in bin-major order, (az, rings, rows) complex
+               (d=3 spectral);
     ``out``    a second array at least the batch's size: the bin powers
                (d=2 spectral) or the substep's output (projected);
     ``coef``   a block's harmonic coefficients (d=3 spectral) or plane
                half-spectra (projected, FFT route);
-    ``bins``   a block's squares, then its gathered fft bins, their
-               coefficients' squares and their increments (d=3 spectral).
+    ``bins``   a block's squares, then its coefficients' squares and
+               their increments (d=3 spectral).
 
     The d=3 spectral slots hold one block of SPHERE_BLOCK_ROWS rows, not a
     batch.  That substep steps its blocks in W contiguous chunks, one per
@@ -546,10 +550,10 @@ class _SpectralEngine(_Engine):
     uniform-azimuth rule, where the map is also circulant in azimuth, so it
     splits into an fft along each ring and one polar matrix per azimuthal
     order (as in SHTns).  The substep steps the spectrum's rows in place,
-    SPHERE_BLOCK_ROWS rows at a time: an fft along the rings, one batched
-    product over the orders |k| <= lmax for the coefficients, one more for
-    their synthesis times expm1(lambda_l dt), added to the bins, and an
-    ifft (see `_per_order`).
+    SPHERE_BLOCK_ROWS rows at a time in bin-major order: an fft along the
+    rings, one batched product over every fft bin for the coefficients, one
+    more for their synthesis times expm1(lambda_l dt), added to the bins,
+    and an ifft into the rows (see `_per_order`).
     """
 
     def __init__(self, kernel, angular, lmax, dt):
@@ -585,7 +589,7 @@ class _SpectralEngine(_Engine):
         if self.d == 3:
             # bin k of ring i gains az sum_l P_l^|k|(t_i) expm1(lambda_l dt) C_l[k]
             grow = self.ring_shape[1] * np.expm1(lam * dt)
-            self.increment = np.ascontiguousarray((polar * grow).transpose(0, 2, 1))
+            self.increment = polar * grow
         else:
             self.factor = np.exp(lam * dt)
             # the factor of each fft bin, once per float of a complex row
@@ -597,18 +601,18 @@ class _SpectralEngine(_Engine):
 
     def _polar_table(self, angular):
         """
-        The d = 3 polar factors of `_per_order`, (2 lmax + 1, rings, lmax + 1):
-        P_l^|k|(t_i) at ring i for degree l and each gathered fft bin k =
-        0..lmax, -lmax..-1, and 0 where l < |k|.  The rule must be rings of
-        az nodes, ring i at one polar cosine t_i and one weight w_i, node j
-        at azimuth 2 pi j / az (as `polar_quadrature` builds them), with
-        2 lmax < az so that the bins are distinct.  There the harmonics of
-        order m > 0 are sqrt(2) P_l^m(t) times cos(m phi) and sin(m phi),
-        which read a ring's fft bins Z[+-m].  With the coefficients
-        C_l[k] = sum_i w_i P_l^|k|(t_i) Z_i[k], a row's mass of degree l is
-        sum_|k|<=l |C_l[k]|^2, and adding c * g_l of every harmonic adds
-        az g_l P_l^|k|(t_i) C_l[k] to Z_i[k].  P is the basis at azimuth 0,
-        the m > 0 columns divided by sqrt(2).
+        The d = 3 polar factors of `_per_order`, (az, rings, lmax + 1):
+        P_l^|k|(t_i) at ring i for degree l and each fft bin k in fftfreq
+        order, and 0 where l < |k|, so a bin |k| > lmax reads nothing.  The
+        rule must be rings of az nodes, ring i at one polar cosine t_i and one
+        weight w_i, node j at azimuth 2 pi j / az (as `polar_quadrature`
+        builds them), with 2 lmax < az so that the bins |k| <= lmax are
+        distinct.  There the harmonics of order m > 0 are sqrt(2) P_l^m(t)
+        times cos(m phi) and sin(m phi), which read a ring's fft bins Z[+-m].
+        With the coefficients C_l[k] = sum_i w_i P_l^|k|(t_i) Z_i[k], a row's
+        mass of degree l is sum_|k|<=l |C_l[k]|^2, and adding c * g_l of
+        every harmonic adds az g_l P_l^|k|(t_i) C_l[k] to Z_i[k].  P is the
+        basis at azimuth 0, the m > 0 columns divided by sqrt(2).
         """
         nodes, n = angular.nodes, len(angular.weights)
         changes = np.flatnonzero(nodes[:, 2] != nodes[0, 2])
@@ -633,23 +637,22 @@ class _SpectralEngine(_Engine):
         self.ring_weight = w
         basis = basis_at_directions(3, first, self.lmax)
         l = np.arange(self.lmax + 1)
-        orders = np.abs(np.r_[0 : self.lmax + 1, -self.lmax : 0])[:, None]
-        polar = np.where(l >= orders, basis[:, l * l + l + orders], 0.0)
-        polar[:, orders[:, 0] > 0] /= np.sqrt(2.0)
+        k = np.minimum(np.arange(az), az - np.arange(az))[:, None]
+        polar = np.where(l >= k, basis[:, l * l + l + np.minimum(k, self.lmax)], 0.0)
+        polar[:, 1:] /= np.sqrt(2.0)
         return polar.transpose(1, 0, 2)
 
-    def _fft_rows(self, rows, in_place, slots=None):
+    def _fft_rows(self, rows, z=None):
         """
-        The fft of rows along the last axis: in their own bytes when
-        `in_place`, which needs complex rows, and else in the "batch" slot of
-        slot set `slots`, where real rows are cast to complex first so that
-        numpy makes no complex copy of them.
+        The fft of rows along the last axis, in z, a complex array of their
+        shape (the "batch" slot by default): rows are copied into z, real
+        rows cast to complex, and z is transformed in place, so that numpy
+        makes no complex copy of its own.
         """
-        if not in_place:
-            z = self._take("batch", rows.shape, complex, slots)
-            np.copyto(z, rows)
-            rows = z
-        return np.fft.fft(rows, axis=-1, out=rows)
+        if z is None:
+            z = self._take("batch", rows.shape, complex)
+        np.copyto(z, rows)
+        return np.fft.fft(z, axis=-1, out=z)
 
     def _bin_masses(self, z, row_weight):
         """
@@ -673,17 +676,16 @@ class _SpectralEngine(_Engine):
         imaginary parts.  When `stepping`, rows is also scattered in place,
         and ||u||^2 after it is returned (else None).
 
-        It works SPHERE_BLOCK_ROWS rows at a time.  A block's rings are
-        replaced by their fft (the march's spectrum in place, real rows in a
-        complex slot, see `_fft_rows`), and the bins k = 0..lmax, -lmax..-1
-        of every ring are gathered in the "bins" slot, one real row of
-        rings values per part and bin.  One batched product with the polar
-        table, one small GEMM per bin, gives the coefficients C_l[k] in the
-        "coef" slot, and the masses are sum |C|^2 (see `_polar_table`).  A
-        step adds a second product, the synthesis times expm1(lambda_l dt),
-        to the gathered bins and ifft's the block.  ||u||^2 before and after
-        is the quadrature of the block's squares, before the fft and after
-        the ifft.
+        It works SPHERE_BLOCK_ROWS rows at a time in bin-major order.  A
+        block's rows are copied, real rows cast to complex, into the
+        transpose of an (az, rings, rows) complex "batch" slot and fft'd there
+        (see `_fft_rows`), so that each fft bin is one real (rings, 2 rows)
+        matrix.  One batched product over every bin with the polar table (0
+        on the bins |k| > lmax, see `_polar_table`) gives the coefficients
+        C_l[k] in the "coef" slot, and the masses are sum |C|^2.  A step adds
+        a second product, the synthesis times expm1(lambda_l dt), to the slot
+        and ifft's it into the rows.  ||u||^2 before and after is the
+        quadrature of the block's squares, before the fft and after the ifft.
 
         The blocks touch disjoint rows, so `_in_order` steps them in W =
         min(CPUs, blocks) contiguous chunks, chunk i in slot set i; numpy
@@ -699,8 +701,6 @@ class _SpectralEngine(_Engine):
         values = flat.view(float)
         quad_weight = np.repeat(self.angular.weights, values.shape[1] // flat.shape[1])
         w = np.ravel(row_weight)
-        # the gathered bins -lmax..-1 of a ring; bins 0..lmax come first
-        negative = slice(az - lmax, az)
 
         def order_block(start, slots):
             block = values[start : start + SPHERE_BLOCK_ROWS]
@@ -709,24 +709,19 @@ class _SpectralEngine(_Engine):
             scratch = self._take("bins", block.shape, slots=slots)
             before = _norm_sq(block, quad_weight, weight, scratch)
             rows = flat[start : start + count].reshape(count, rings, az)
-            z = self._fft_rows(rows, stepping, slots)
-            # bin, row, part, ring
-            parts = z.view(float).reshape(count, rings, az, 2).transpose(2, 0, 3, 1)
-            shape = (2 * lmax + 1, count, 2, rings)
-            bins = self._take("bins", shape, slots=slots)
-            np.copyto(bins[: lmax + 1], parts[: lmax + 1])
-            np.copyto(bins[lmax + 1 :], parts[negative])
-            bins = bins.reshape(len(bins), 2 * count, rings)
-            coef = self._take("coef", bins.shape[:2] + (lmax + 1,), slots=slots)
-            np.matmul(bins, self.project, out=coef)
+            # bin, ring, row
+            z = self._take("batch", (az, rings, count), complex, slots)
+            self._fft_rows(rows, z.transpose(2, 1, 0))
+            parts = z.view(float)
+            coef = self._take("coef", (az, 2 * count, lmax + 1), slots=slots)
+            np.matmul(parts.transpose(0, 2, 1), self.project, out=coef)
             sq = np.square(coef, out=self._take("bins", coef.shape, slots=slots))
             per_degree = np.matmul(np.repeat(weight, 2), sq).sum(axis=0)
             if not stepping:
                 return per_degree, before, None
-            grow = np.matmul(coef, self.increment, out=bins).reshape(shape)
-            np.add(parts[: lmax + 1], grow[: lmax + 1], out=parts[: lmax + 1])
-            np.add(parts[negative], grow[lmax + 1 :], out=parts[negative])
-            np.fft.ifft(z, axis=-1, out=z)
+            grow = self._take("bins", parts.shape, slots=slots)
+            parts += np.matmul(self.increment, coef.transpose(0, 2, 1), out=grow)
+            np.fft.ifft(z.transpose(2, 1, 0), axis=-1, out=rows)
             after = _norm_sq(block, quad_weight, weight, scratch)
             return per_degree, before, after
 
@@ -751,7 +746,7 @@ class _SpectralEngine(_Engine):
     def functionals(self, values, row_weight):
         """Instantaneous (||u||^2, ||u||^2_{Hs}) in the marcher's accounting."""
         if self.d == 2:
-            rows = self._fft_rows(values.reshape(-1, values.shape[-1]), False)
+            rows = self._fft_rows(values.reshape(-1, values.shape[-1]))
             resolved, unresolved = self._bin_masses(rows, row_weight), 0.0
         else:
             resolved, unresolved, _ = self._per_order(values, row_weight, False)
@@ -767,7 +762,8 @@ class _SpectralEngine(_Engine):
         from the stepped rows.
         """
         if self.d == 2:
-            resolved = self._bin_masses(self._fft_rows(spec, True), row_weight)
+            np.fft.fft(spec, axis=-1, out=spec)
+            resolved = self._bin_masses(spec, row_weight)
             unresolved = 0.0
             parts = spec.view(float)
             np.multiply(parts, self.bin_factor, out=parts)
@@ -1051,6 +1047,11 @@ def run(cfg, u0, observe=None):
     time = u0.time
     mass0 = u0.mass()
     l2_prev_step, linf0 = eng.norms(u0)
+    if not (math.isfinite(mass0) and math.isfinite(l2_prev_step)):
+        raise ParameterOutOfRange(
+            f"initial data must have finite mass and L2, got {mass0:.3e} and "
+            f"{l2_prev_step:.3e}"
+        )
     l2_prev_emit = l2_prev_step
     hs_total = 0.0
     win_l2 = 0.0
@@ -1068,9 +1069,10 @@ def run(cfg, u0, observe=None):
         time = time + 0.5 * cfg.dt + 0.5 * cfg.dt
         win_l2 += dl2
         win_hs += dhs
-        # a non-finite entry makes the Parseval sum non-finite
-        if not np.isfinite(l2sq) and not np.all(np.isfinite(spec)):
-            raise InvariantViolation(f"non-finite values at t={time:.6g}")
+        # a non-finite entry, or one whose square overflows, makes the
+        # Parseval sum non-finite
+        if not math.isfinite(l2sq):
+            raise InvariantViolation(f"non-finite L2 at t={time:.6g}")
         l2_now = np.sqrt(l2sq)
         if l2_now > l2_prev_step * (1.0 + L2_STEP_TOL):
             raise StabilityViolation(

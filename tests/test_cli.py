@@ -242,6 +242,24 @@ class TestConfigValidation:
                     "kind = gaussian-beam": "kind = harmonic-perturbation\ndegree = 100000",
                 },
             ),
+            ("solve", BEAM_SOLVE, {"sigma = 1.0": "sigma = 1.0\namplitude = 1e300"}),
+            ("solve", BEAM_SOLVE, {"b1 = 1.0": "b1 = 1e308"}),
+            (
+                "solve",
+                BEAM_SOLVE,
+                {
+                    "dimension = 2": "dimension = 3",
+                    "m = 32": "m = 8",
+                    "angles = 64": "angles = 6",
+                    "b1 = 1.0": "b1 = 1e308",
+                },
+            ),
+            (
+                "eigs",
+                BEAM_SOLVE,
+                {"dimension = 2": "dimension = 3", "b1 = 1.0": "b1 = 1e308"},
+            ),
+            ("solve", BEAM_SOLVE, {"remainder = none": "remainder = const:1e308"}),
             ("study", LEVEL_SET_STUDY, {"ladder = 0.0,0.25,0.5": "ladder = 0,nan,0.5"}),
             ("study", LEVEL_SET_STUDY, {"ladder = 0.0,0.25,0.5": "ladder = 0,0.25,inf"}),
             ("study", DECAY_STUDY, {"name = decay": "name = decay\nn_ladder = -3"}),
@@ -301,6 +319,11 @@ class TestConfigValidation:
             "beam-sigma-theta-tiny-sphere",
             "degree-negative-d3",
             "degree-huge-d3",
+            "amplitude-huge",
+            "b1-huge-d2",
+            "b1-huge-d3",
+            "b1-huge-d3-eigs",
+            "remainder-huge",
             "level-set-lambda-nan",
             "level-set-lambda-inf",
             "decay-n-ladder-negative",

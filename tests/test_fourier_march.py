@@ -400,7 +400,7 @@ def test_d2_functionals_and_masses_match_rfft_route(angles, rows, weights):
     values = rng.random((rows, angles))
     weight = _row_weights(weights, rows, rng)
     masses = rfft_masses(values, weight)
-    assert rel_dev(eng._bin_masses(eng._fft_rows(values, False), weight), masses) <= REL_TOL
+    assert rel_dev(eng._bin_masses(eng._fft_rows(values), weight), masses) <= REL_TOL
     l2sq, hssq = eng.functionals(values, weight)
     assert_close(l2sq, float(masses.sum()))
     assert_close(hssq, float(np.sum(eng.sigma * masses)))
@@ -528,14 +528,16 @@ def test_d3_functionals_and_masses_match_dense_projection(rings, weights):
 
 @pytest.mark.parametrize(
     "rings, azimuths, lmax",
-    [(8, 10, 8), (16, None, 8)],
-    ids=["cap-from-azimuths", "below-cap"],
+    [(8, 10, 8), (16, None, 8), (6, 20, 5)],
+    ids=["cap-from-azimuths", "below-cap", "out-of-band-bins"],
 )
 def test_d3_per_order_matches_dense_map_on_more_rules(rings, azimuths, lmax):
-    """The per-order route on two more ring x uniform-azimuth rules: 8 rings
-    of 10 nodes, whose lmax cap 4 is set by the azimuth count, and 16 rings
-    of 32 at lmax 8, below the cap.  The stepped spectrum, the step
-    integrals, ||u||^2 after and the functionals match the dense map."""
+    """The per-order route on three more ring x uniform-azimuth rules: 8
+    rings of 10 nodes, whose lmax cap 4 is set by the azimuth count, 16 rings
+    of 32 at lmax 8, below the cap, and 6 rings of 20 at lmax 5, whose 9 fft
+    bins |k| > lmax per ring the polar tables zero.  The stepped spectrum,
+    the step integrals, ||u||^2 after and the functionals match the dense
+    map."""
     eng = _d3_engine(rings, azimuths, lmax)
     assert eng.lmax == (4 if azimuths == 10 else lmax)
     n = len(eng.angular.weights)

@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from prte import solver
 from prte.errors import (
     InvariantViolation,
     ParameterOutOfRange,
@@ -407,6 +408,28 @@ class TestRun:
         assert worst_min >= -1e-8 * max0, f"positivity broke: {worst_min:.2e}"
         assert len(snaps) == 6  # t = 0, 0.1, ..., 0.5
         assert len(recs) == 11  # t = 0, 0.05, ..., 0.5
+
+    def test_initial_data_with_infinite_l2_is_rejected(self, grid2, ang2):
+        """A u0 whose squares overflow is a bad parameter, not a run whose
+        diagnostics read l2 = inf."""
+        u0 = make_initial("isotropic-blob", grid2, ang2, amplitude=1e300)
+        cfg = SolverConfig(kernel=SPEC2, dt=0.05, t_end=0.1, lmax=8)
+        with np.errstate(over="ignore"), pytest.raises(ParameterOutOfRange, match="L2"):
+            run(cfg, u0)
+
+    def test_a_non_finite_l2_fails_the_step(self, grid2, ang2, monkeypatch):
+        """A step whose ||u||^2 is not finite is an invariant violation, also
+        when every spectrum entry is finite (a square overflowed)."""
+        step = solver._SpectralEngine.scatter_spectrum
+        monkeypatch.setattr(
+            solver._SpectralEngine,
+            "scatter_spectrum",
+            lambda eng, spec, weight: step(eng, spec, weight)[:2] + (np.inf,),
+        )
+        u0 = make_initial("isotropic-blob", grid2, ang2)
+        cfg = SolverConfig(kernel=SPEC2, dt=0.05, t_end=0.1, lmax=8)
+        with pytest.raises(InvariantViolation, match="non-finite L2"):
+            run(cfg, u0)
 
     def test_energy_accounting_finite_past_degree_170(self):
         """344 angles resolve degrees up to 172, where Gamma(l + s + 1/2)

@@ -47,14 +47,14 @@ MUTANTS = (
     Mutant(
         "m > 0 normalisation",
         SOLVER,
-        "polar[:, orders[:, 0] > 0] /= np.sqrt(2.0)",
+        "polar[:, 1:] /= np.sqrt(2.0)",
         "pass",
     ),
     Mutant(
         "|k| <= lmax bins",
         SOLVER,
-        "negative = slice(az - lmax, az)",
-        "negative = slice(az - lmax - 1, az - 1)",
+        "np.where(l >= k, ",
+        "np.where(l >= np.minimum(k, self.lmax), ",
     ),
     Mutant(
         "(2 pi / az) mass scale",
