@@ -25,13 +25,19 @@ two backends:
 Both backends are real-linear and the same at every x, so the whole step
 commutes with the spatial Fourier transform, and `run` marches in Fourier
 space.  Between emits its state is the rfftn spectrum over the space axes,
-angular nodes last.  Streaming by dt/2 is one multiplier table H built per
-run: H = (E + conj(E[-k])) / 2 with E = exp(-i theta.k dt/2) on the fftfreq
-grid.  H equals E off the Nyquist planes; on them it is the fold that taking
-the real part of the inverse transform applies, cos((theta.k_N) dt/2) times
-the phase of the other components (see `_transport_table`).  The two
-half-steps that meet between consecutive steps fuse into one multiply by
-H*H.  Scattering acts on the spectrum's rows in place, each weighted by its
+angular nodes last.  Streaming by dt/2 is one multiplier H = (E +
+conj(E[-k])) / 2 with E = exp(-i theta.k dt/2) on the fftfreq grid.  H
+equals E off the Nyquist planes; on them it is the fold that taking the real
+part of the inverse transform applies, cos((theta.k_N) dt/2) times the phase
+of the other components.  E is a product over the axes, and so is H except
+on the rows on two or more Nyquist planes, so a run keeps H as one small
+factor per axis, the exact factors of those few rows, and the product of the
+factors of every axis but the first, 1/m of the spectrum (see `_Stream`).
+The two half-steps that meet between consecutive steps fuse into one
+multiply by H*H, whose factors are the squares.  Each engine streams the
+spectrum in place at the start of its substep: the d = 3 spectral engine
+block by block, while a block is in cache, the others in one pass.
+Scattering acts on the spectrum's rows in place, each weighted by its
 Parseval weight; `scatter_spectrum` is each engine's one stepping entry.  The
 sphere-spectral engine steps the complex rows themselves.  At d = 2 that is
 one complex fft along the angle axis, the per-degree masses from the bin
@@ -52,7 +58,7 @@ of rows, steps it and writes it back.  The per-step checks read the spectrum
 half-step and irfftn run only when a diagnostics row or a snapshot needs
 physical values.  Physical fields reach an engine only through
 `functionals`, at the cell volume as their one weight.  `transport_step`
-streams a physical field by the same table, and `strang_step_energy` is the
+streams a physical field by the same factors, and `strang_step_energy` is the
 one observed step of a `run` to t = dt.  A study that needs the state after
 every step subscribes to `run` through its `observe` argument instead of
 marching again.
@@ -318,58 +324,98 @@ def _to_values(spatial, spec, out=None):
     return np.fft.irfft(spec, spatial.m, spatial.d - 1, out=out)
 
 
-def _transport_table(spatial, angular, tau):
+class _Stream:
     """
-    Free streaming over tau as one multiplier on the rfftn half-spectrum.
+    Free streaming over tau as one multiplier H on the rfftn half-spectrum,
+    kept as per-axis factors.
 
     Streaming multiplies the full spectrum by E = exp(-i theta.k tau), k on
     the fftfreq grid, and the real part of the inverse transform then folds
     that to H = (E + conj(E[-k])) / 2, where E[-k] is E at the indices
     negated mod m.  Off the Nyquist planes H = E.  On them a Nyquist index is
     its own negation, so H = exp(-i theta.k' tau) cos(theta.k'' tau), with k'
-    the wavevector with its Nyquist components zeroed and k'' = k - k'.  At
-    the doubly-Nyquist bins that is cos((theta_x + theta_y) k_N tau), not a
-    product of per-axis cosines.  H = 1 at k = 0, |H| <= 1, and
-    H[-k] = conj(H[k]), so H maps real fields to real fields.
+    the wavevector with its Nyquist components zeroed and k'' = k - k'.
+    H = 1 at k = 0, |H| <= 1, and H[-k] = conj(H[k]), so H maps real fields
+    to real fields.
+
+    E is a product over the axes, and so is H on every spectrum row (one
+    spatial bin, a value per node) with at most one Nyquist index:
+    `factors[a]`, (bins along axis a, nodes), holds exp(-i theta_a k_a tau),
+    and cos(theta_a k_N tau) at the Nyquist index.  On a row on two or more
+    Nyquist planes H is cos((theta_a + theta_b) k_N tau) times the rest, not
+    a product of per-axis cosines, so those rows (`rows`, their indices in C
+    order) keep their own factors, `exact`.  `trail` is the product of the
+    factors of every axis but the first, one row per row of a first-axis
+    slab: 1/m of the spectrum.
     """
-    g = spatial
-    theta = np.asarray(angular.nodes)[:, : g.d]
-    nyq = g.m // 2
-    k = g.wavenumbers()
-    stream = k.copy()
-    stream[nyq] = 0.0
-    phase = np.empty(g.shape[:-1] + (nyq + 1, theta.shape[0]))
-    _dot_theta(phase, [stream] * g.d, theta)
-    phase *= -tau
-    table = np.empty(phase.shape, complex)
-    np.cos(phase, out=table.real)
-    np.sin(phase, out=table.imag)
-    # k - stream is nonzero only on the Nyquist planes, so only they take
-    # the fold's cosine, each plane's phase summed by `_dot_theta` in the
-    # bytes of phase; a row on more than one plane takes it on the first and
-    # 1 on the rest
-    fold_k = k - stream
-    for a in range(g.d):
-        at = (slice(None),) * a + (slice(nyq, nyq + 1),)
-        plane, fold = table[at], phase[at]
-        per_axis = [fold_k[nyq:] if b == a else fold_k for b in range(g.d)]
-        _dot_theta(fold, per_axis, theta)
-        fold *= tau
-        np.cos(fold, out=fold)
-        for b in range(a):
-            fold[(slice(None),) * b + (nyq,)] = 1.0
-        plane *= fold
-    return table
 
+    def __init__(self, factors, rows, exact):
+        self.factors, self.rows, self.exact = factors, rows, exact
+        trail = factors[-1]
+        for factor in factors[-2:0:-1]:
+            trail = (factor[:, None] * trail).reshape(-1, trail.shape[-1])
+        self.trail = trail
 
-def _dot_theta(out, per_axis, theta):
-    """out[n, j] = sum_a per_axis[a][n_a] theta[j, a], each per_axis[a] cut
-    to the length of out's axis a."""
-    out[...] = 0.0
-    for a, vector in enumerate(per_axis):
-        shape = [1] * out.ndim
-        shape[a] = out.shape[a]
-        out += vector[: out.shape[a]].reshape(shape) * theta[:, a]
+    @classmethod
+    def over(cls, spatial, angular, tau):
+        """Streaming over tau on spatial's rfftn half-spectrum."""
+        g = spatial
+        theta = np.asarray(angular.nodes)[:, : g.d]
+        nyq = g.m // 2
+        k = g.wavenumbers()
+        stream = k.copy()
+        stream[nyq] = 0.0
+        fold = k - stream
+        bins = g.shape[:-1] + (nyq + 1,)
+        factors = [
+            np.exp(np.multiply.outer(stream[:n], theta[:, a]) * (-1j * tau))
+            * np.cos(np.multiply.outer(fold[:n], theta[:, a]) * tau)
+            for a, n in enumerate(bins)
+        ]
+        index = np.indices(bins).reshape(g.d, -1)
+        rows = np.flatnonzero(np.sum(index == nyq, axis=0) >= 2)
+        # theta.k' and theta.k'' of each such row, summed axis by axis
+        phase = np.zeros((len(rows), theta.shape[0]))
+        folds = np.zeros_like(phase)
+        for a in range(g.d):
+            phase += stream[index[a, rows], None] * theta[:, a]
+            folds += fold[index[a, rows], None] * theta[:, a]
+        return cls(factors, rows, np.exp(phase * (-1j * tau)) * np.cos(folds * tau))
+
+    def squared(self):
+        """Two streams by tau in a row, each folded: H * H."""
+        return _Stream([f * f for f in self.factors], self.rows, self.exact * self.exact)
+
+    def apply(self, rows, start=0, out=None):
+        """
+        Spectrum rows start, start + 1, ..., given as a C-ordered (count,
+        nodes) array of them, times H: in place, or into `out`, an array of
+        their shape.  Each row is multiplied by its row of `trail` and then
+        by its first-axis factor, in three passes of two calls each: the
+        part of the first first-axis slab, the whole slabs, the part of the
+        last.  The rows on two or more Nyquist planes are then set from their
+        exact factors.
+        """
+        out = rows if out is None else out
+        end = start + len(rows)
+        slab = len(self.trail)
+        lo, hi = np.searchsorted(self.rows, (start, end))
+        at = self.rows[lo:hi] - start
+        exact = rows[at] * self.exact[lo:hi]
+        head = min(end, -(-start // slab) * slab)
+        tail = max(head, end // slab * slab)
+        for first, last in ((start, head), (head, tail), (tail, end)):
+            if first == last:
+                continue
+            i, skip = divmod(first, slab)
+            width = min(slab - skip, last - first)
+            shape = ((last - first) // width, width, -1)
+            part = out[first - start : last - start].reshape(shape)
+            src = rows[first - start : last - start].reshape(shape)
+            np.multiply(src, self.trail[skip : skip + width], out=part)
+            part *= self.factors[0][i : i + shape[0], None]
+        out[at] = exact
+        return out
 
 
 def _parseval_weights(spatial):
@@ -386,11 +432,11 @@ def transport_step(u, dt):
     on band-limited data, so L2 is exact and mass (the k = 0 mode) never
     moves.  The folded Nyquist bin has no conjugate partner; its translate
     falls outside the grid space and the real projection folds it back (see
-    `_transport_table`), so only data with energy at the fold sees any
+    `_Stream`), so only data with energy at the fold sees any
     (norm-decreasing) effect.
     """
     spec = _to_spectrum(u)
-    spec *= _transport_table(u.spatial, u.angular, dt)
+    _stream(spec, _Stream.over(u.spatial, u.angular, dt))
     return PhaseField(u.spatial, u.angular, _to_values(u.spatial, spec), u.time + dt)
 
 
@@ -436,6 +482,13 @@ def _norm_sq(values, weights, row_weight, scratch):
     the squares in `scratch`, an array of the values' shape."""
     sq = np.multiply(values, values, out=scratch)
     return float(_row_sum(row_weight, (sq @ weights)[..., None])[0])
+
+
+def _stream(spec, stream):
+    """Stream the march's spectrum in place by `stream`, a `_Stream`, if
+    one is given: one pass over it, a first-axis slab at a time."""
+    if stream is not None:
+        stream.apply(spec.reshape(-1, spec.shape[-1], copy=False))
 
 
 def _cpus():
@@ -488,7 +541,8 @@ class _Engine:
     between steps, so an emit (`field`, `norms`) builds each field and its
     norms in them.  What the engine returns is valid until its next call.
     Each engine has one stepping method, `scatter_spectrum(spec,
-    row_weight)`: it scatters the spectrum in place and returns the
+    row_weight, stream=None)`: it streams the spectrum in place by `stream`,
+    a `_Stream`, when one is given, scatters it in place, and returns the
     substep's int ||u||^2 dtau and int ||u||^2_{Hs} dtau, and ||u||^2 after
     it.  An engine built with dt = None does not step and serves
     `functionals` only.
@@ -518,12 +572,15 @@ class _Engine:
 
     def field(self, spatial, spec, half, keep):
         """
-        The physical field of spec * half, the last half-step of an emit.
-        The product and the complex passes of irfftn run in the batch's
-        bytes.  The field is a new array when `keep`, and else lives in the
-        "out" slot until the engine's next call; spec is never written.
+        The physical field of spec streamed by `half`, a `_Stream`: the last
+        half-step of an emit.  The streamed spectrum and the complex passes of
+        irfftn run in the batch's bytes.  The field is a new array when
+        `keep`, and else lives in the "out" slot until the engine's next
+        call; spec is never written.
         """
-        prod = np.multiply(spec, half, out=self._take("batch", spec.shape, complex))
+        prod = self._take("batch", spec.shape, complex)
+        n = spec.shape[-1]
+        half.apply(spec.reshape(-1, n), out=prod.reshape(-1, n))
         shape = spatial.shape + spec.shape[-1:]
         return _to_values(spatial, prod, None if keep else self._take("out", shape))
 
@@ -668,13 +725,16 @@ class _SpectralEngine(_Engine):
         masses = np.bincount(self.bin_degree, per_bin, minlength=self.lmax + 1)
         return masses * self.bin_scale
 
-    def _per_order(self, rows, row_weight, stepping):
+    def _per_order(self, rows, row_weight, stepping, stream=None):
         """
         Per-degree harmonic masses (d = 3) of rows, a C-ordered (..., n)
         array, real or complex, and the beyond-band remainder; row r weighs
         row_weight_r (or one scalar for all), on each of its real and
         imaginary parts.  When `stepping`, rows is also scattered in place,
-        and ||u||^2 after it is returned (else None).
+        and ||u||^2 after it is returned (else None); a `stream` (a
+        `_Stream`, rows being the march's spectrum) first streams each
+        block's rows in place, while they are in cache, before anything else
+        reads them.
 
         It works SPHERE_BLOCK_ROWS rows at a time in bin-major order.  A
         block's rows are copied, real rows cast to complex, into the
@@ -705,6 +765,8 @@ class _SpectralEngine(_Engine):
         def order_block(start, slots):
             block = values[start : start + SPHERE_BLOCK_ROWS]
             count = len(block)
+            if stream is not None:
+                stream.apply(flat[start : start + count], start)
             weight = np.broadcast_to(w if w.size == 1 else w[start : start + count], count)
             scratch = self._take("bins", block.shape, slots=slots)
             before = _norm_sq(block, quad_weight, weight, scratch)
@@ -754,14 +816,17 @@ class _SpectralEngine(_Engine):
         hssq = float(np.sum(self.sigma * resolved))
         return l2sq, hssq
 
-    def scatter_spectrum(self, spec, row_weight):
+    def scatter_spectrum(self, spec, row_weight, stream=None):
         """
-        Scattering over dt on the spectrum, in place; row_weight weighs each
-        row of spec, or is one scalar for all.  Returns the substep's
+        Scattering over dt on the spectrum, in place, after streaming it by
+        `stream` when one is given (at d = 3 block by block, see
+        `_per_order`); row_weight weighs each row of spec, or is one scalar
+        for all.  Returns the substep's
         (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it, taken
         from the stepped rows.
         """
         if self.d == 2:
+            _stream(spec, stream)
             np.fft.fft(spec, axis=-1, out=spec)
             resolved = self._bin_masses(spec, row_weight)
             unresolved = 0.0
@@ -771,7 +836,7 @@ class _SpectralEngine(_Engine):
             per_row = np.einsum("...j,...j->...", parts, parts)
             l2sq = float(_row_sum(row_weight, per_row[..., None])[0]) * self.node_weight
         else:
-            resolved, unresolved, l2sq = self._per_order(spec, row_weight, True)
+            resolved, unresolved, l2sq = self._per_order(spec, row_weight, True, stream)
         l2_int = float(np.sum(resolved * self.decay)) + unresolved * self.dt
         hs_int = float(np.sum(self.sigma * resolved * self.decay))
         return l2_int, hs_int, l2sq
@@ -914,14 +979,16 @@ class _ProjectedEngine(_Engine):
         Q = F.real @ F.real.T + F.imag @ F.imag.T
         return Q + M @ Q @ M.T
 
-    def scatter_spectrum(self, spec, row_weight):
+    def scatter_spectrum(self, spec, row_weight, stream=None):
         """
-        Scattering over dt on the spectrum, in place; row_weight weighs each
-        row of spec, or is one scalar for all.  The substep is real-linear,
+        Scattering over dt on the spectrum, in place, after streaming it by
+        `stream` when one is given; row_weight weighs each row of spec, or
+        is one scalar for all.  The substep is real-linear,
         so it steps the real and imaginary parts as one real batch of rows,
         each part with its row's weight.  Returns the substep's
         (int ||u||^2 dtau, int ||u||^2_Hs dtau) and ||u||^2 after it.
         """
+        _stream(spec, stream)
         n = spec.shape[-1]
         rows = spec.size // n
         flat = self._take("batch", (2 * rows, n))
@@ -1037,20 +1104,23 @@ def run(cfg, u0, observe=None):
     def functionals(values):
         return eng.functionals(values, g.cell_volume())
 
-    half = _transport_table(g, angular, 0.5 * cfg.dt)
-    fused = half * half
+    half = _Stream.over(g, angular, 0.5 * cfg.dt)
+    full = half.squared()
     row_weight = _parseval_weights(g)
     zero_row = (0,) * g.d
     spec = _to_spectrum(u0)
     # before u0's norms and the first observer call borrow the workspace
     eng.start(spec)
     time = u0.time
-    mass0 = u0.mass()
-    l2_prev_step, linf0 = eng.norms(u0)
-    if not (math.isfinite(mass0) and math.isfinite(l2_prev_step)):
+    # data whose norms overflow is rejected below, so numpy need not warn;
+    # with no mass (a zero or subnormal field) no drift can be measured
+    with np.errstate(over="ignore"):
+        mass0 = u0.mass()
+        l2_prev_step, linf0 = eng.norms(u0)
+    if not (0.0 < mass0 < math.inf and math.isfinite(l2_prev_step)):
         raise ParameterOutOfRange(
-            f"initial data must have finite mass and L2, got {mass0:.3e} and "
-            f"{l2_prev_step:.3e}"
+            f"initial data must have finite positive mass and finite L2, got "
+            f"{mass0:.3e} and {l2_prev_step:.3e}"
         )
     l2_prev_emit = l2_prev_step
     hs_total = 0.0
@@ -1063,8 +1133,7 @@ def run(cfg, u0, observe=None):
     if observe is not None:
         observe(u0, 0.0, 0.0, functionals)
     for step in range(1, n_steps + 1):
-        spec *= half if step == 1 else fused
-        dl2, dhs, l2sq = eng.scatter_spectrum(spec, row_weight)
+        dl2, dhs, l2sq = eng.scatter_spectrum(spec, row_weight, half if step == 1 else full)
         # two half-steps, added in order
         time = time + 0.5 * cfg.dt + 0.5 * cfg.dt
         win_l2 += dl2

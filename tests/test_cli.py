@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,7 @@ class TestConfigValidation:
                 },
             ),
             ("solve", BEAM_SOLVE, {"sigma = 1.0": "sigma = 1.0\namplitude = 1e300"}),
+            ("solve", BEAM_SOLVE, {"sigma = 1.0": "sigma = 1.0\namplitude = 5e-324"}),
             ("solve", BEAM_SOLVE, {"b1 = 1.0": "b1 = 1e308"}),
             (
                 "solve",
@@ -320,6 +322,7 @@ class TestConfigValidation:
             "degree-negative-d3",
             "degree-huge-d3",
             "amplitude-huge",
+            "amplitude-subnormal",
             "b1-huge-d2",
             "b1-huge-d3",
             "b1-huge-d3-eigs",
@@ -343,9 +346,16 @@ class TestConfigValidation:
             assert old in text, old
             text = text.replace(old, new)
         cfg = write_ini(tmp_path, text)
-        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, err
+        # the message is stderr's one line: outside pytest every warning
+        # would be printed there above it
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert not caught, [str(w.message) for w in caught]
 
 
 class TestSolve:

@@ -2,7 +2,7 @@
 The spatial-Fourier marcher against the physical-space marcher it replaced.
 
 `run` keeps its state as the rfftn spectrum over the space axes and streams
-by one multiplier table built per run.  The oracle here is the previous
+by per-axis factors built per run (`solver._Stream`).  The oracle here is the previous
 marcher's transport, kept as it was: every half-step takes a full fftn,
 multiplies by exp(-i theta.k dt/2) built on the spot, and keeps the real
 part of the ifftn.  Its scattering steps the physical values as complex rows
@@ -41,11 +41,10 @@ from prte.solver import (
     SolverConfig,
     SpatialGrid,
     _cpus,
-    _dot_theta,
     _engine_for,
     _parseval_weights,
+    _Stream,
     _to_spectrum,
-    _transport_table,
     energy_functionals,
     run,
     strang_step_energy,
@@ -167,7 +166,7 @@ def test_run_matches_physical_oracle_every_step(name):
 
 @pytest.mark.parametrize("name", ENGINES)
 def test_sparse_emits_match_oracle(name):
-    """Between emits the march only multiplies by the fused table H*H."""
+    """Between emits the march only streams by the squared factors, H*H."""
     cfg, n_steps, grid, angular = _case(name)
     u0 = random_field(grid, angular, seed=5)
     fields, rows, _ = oracle_march(cfg, u0, n_steps)
@@ -193,27 +192,95 @@ def test_transport_step_matches_real_part_fold(d, m, angles):
     assert got.time == want.time
 
 
-@pytest.mark.parametrize("d, m, angular", [
+STREAM_CASES = pytest.mark.parametrize("d, m, angular", [
     (2, 16, sphere_quadrature(2, 32)),
     (3, 8, sphere_quadrature(3, 4)),
     (2, 16, ProjectedAngularGrid(PlaneGrid(2, 8.0, 32))),
 ], ids=["d2", "d3", "projected"])
-def test_transport_table_matches_exp_form(d, m, angular):
-    """The streaming phase is cos and sin written into the table's real and
-    imaginary parts, bit for bit the complex exp of phase * (-i tau)."""
+
+
+def whole_table(grid, theta, tau):
+    """The multiplier on every rfftn bin, (bins..., nodes), as one table:
+    exp(theta.k' (-i tau)) cos(theta.k'' tau), each dot product summed axis
+    by axis, k' the wavevector with its Nyquist components zeroed and
+    k'' = k - k'."""
+    m, d = grid.m, grid.d
+    k = grid.wavenumbers()
+    stream = k.copy()
+    stream[m // 2] = 0.0
+    bins = grid.shape[:-1] + (m // 2 + 1,)
+
+    def dot_theta(per_axis):
+        out = np.zeros(bins + (theta.shape[0],))
+        for a in range(d):
+            shape = [1] * (d + 1)
+            shape[a] = bins[a]
+            out += per_axis[: bins[a]].reshape(shape) * theta[:, a]
+        return out
+
+    return np.exp(dot_theta(stream) * (-1j * tau)) * np.cos(dot_theta(k - stream) * tau)
+
+
+@STREAM_CASES
+def test_stream_factors_match_exp_form(d, m, angular):
+    """Each axis's factor is bit for bit the complex exp of its own phase
+    times the cosine of its own fold, which is 1 off the Nyquist index."""
     grid = SpatialGrid(d, 8.0, m)
     tau = 0.37
     theta = np.asarray(angular.nodes)[:, :d]
     k = grid.wavenumbers()
     stream = k.copy()
     stream[m // 2] = 0.0
-    phase = np.empty(grid.shape[:-1] + (m // 2 + 1, theta.shape[0]))
-    _dot_theta(phase, [stream] * d, theta)
-    want = np.exp(phase * (-1j * tau))
-    _dot_theta(phase, [k - stream] * d, theta)
-    want *= np.cos(phase * tau)
-    got = _transport_table(grid, angular, tau)
-    assert np.array_equal(got, want)
+    stream_by = _Stream.over(grid, angular, tau)
+    assert len(stream_by.factors) == d
+    for a, factor in enumerate(stream_by.factors):
+        n = m // 2 + 1 if a == d - 1 else m
+        want = np.exp(np.multiply.outer(stream[:n], theta[:, a]) * (-1j * tau))
+        want *= np.cos(np.multiply.outer((k - stream)[:n], theta[:, a]) * tau)
+        assert np.array_equal(factor, want), f"axis {a}"
+
+
+@STREAM_CASES
+def test_stream_exact_rows_are_the_whole_table_rows(d, m, angular):
+    """The rows on two or more Nyquist planes, and only they, keep their own
+    factors, bit for bit those of the whole table (both dt/2 and the
+    squared factors of a whole step): 1 row at d = 2, 19 on the 8^3 grid."""
+    grid = SpatialGrid(d, 8.0, m)
+    tau = 0.37
+    theta = np.asarray(angular.nodes)[:, :d]
+    half = _Stream.over(grid, angular, tau)
+    table = whole_table(grid, theta, tau).reshape(-1, theta.shape[0])
+    nyq = np.indices(grid.shape[:-1] + (m // 2 + 1,)).reshape(d, -1) == m // 2
+    assert np.array_equal(half.rows, np.flatnonzero(nyq.sum(axis=0) >= 2))
+    assert len(half.rows) == (1 if d == 2 else 19)
+    assert np.array_equal(half.exact, table[half.rows])
+    assert np.array_equal(half.squared().exact, (table * table)[half.rows])
+
+
+@STREAM_CASES
+def test_stream_assembles_the_whole_table(d, m, angular):
+    """Applied to ones, the factors give the whole table within 1e-15 on
+    every bin, and their squares the table's square within 2e-15, since
+    both sides of that are squares of rounded multipliers.  Applied block by
+    block from any row, the bytes are those of one whole pass, in place or
+    into another array."""
+    grid = SpatialGrid(d, 8.0, m)
+    tau = 0.37
+    theta = np.asarray(angular.nodes)[:, :d]
+    table = whole_table(grid, theta, tau).reshape(-1, theta.shape[0])
+    half = _Stream.over(grid, angular, tau)
+    for stream, want, tol in ((half, table, 1e-15), (half.squared(), table * table, 2e-15)):
+        got = stream.apply(np.ones(want.shape, complex))
+        assert np.max(np.abs(got - want)) <= tol
+    rng = np.random.default_rng(11)
+    spec = rng.standard_normal(table.shape) + 1j * rng.standard_normal(table.shape)
+    whole = half.apply(spec.copy())
+    assert half.apply(spec, out=np.empty_like(spec)).tobytes() == whole.tobytes()
+    for block in (7, SPHERE_BLOCK_ROWS):
+        rows = spec.copy()
+        for start in range(0, len(rows), block):
+            half.apply(rows[start : start + block], start)
+        assert rows.tobytes() == whole.tobytes(), f"blocks of {block}"
 
 
 @pytest.mark.parametrize("name", ENGINES)
@@ -280,6 +347,34 @@ def test_scatter_substep_allocates_no_batch(name):
     finally:
         tracemalloc.stop()
     assert extra < batch_bytes / 8, f"{extra} bytes against a {batch_bytes}-byte batch"
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_run_holds_no_spectrum_sized_multiplier(name, monkeypatch):
+    """A whole run with no observer and no snapshots peaks below the
+    spectrum, the engine's workspace (the batch, the field of an emit and
+    the engine's other slots) and one more spectrum.  A multiplier table the
+    size of the spectrum would exceed that by itself: the streaming factors
+    are 1/m of the spectrum or less, and everything else of the run is
+    smaller.  The engine is built first, so that its own tables (M, the
+    form) are not counted."""
+    cfg, _, grid, angular = _case(name)
+    grid = SpatialGrid(grid.d, grid.X, ALLOC_CELLS[name])
+    u0 = random_field(grid, angular, seed=41)
+    eng = _engine_for(cfg, u0)
+    monkeypatch.setattr(solver, "_engine_for", lambda cfg, u, stepping=True: eng)
+    spec_bytes = 16 * u0.values.size // grid.m * (grid.m // 2 + 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(cfg, u0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    workspace = sum(buf.nbytes for slots in eng._slot_sets for buf in slots.values())
+    extra = peak - spec_bytes - workspace
+    assert extra < spec_bytes, f"{extra} bytes besides a {spec_bytes}-byte spectrum"
 
 
 @pytest.mark.parametrize("name", ENGINES)

@@ -424,7 +424,7 @@ class TestRun:
         monkeypatch.setattr(
             solver._SpectralEngine,
             "scatter_spectrum",
-            lambda eng, spec, weight: step(eng, spec, weight)[:2] + (np.inf,),
+            lambda eng, spec, weight, stream: step(eng, spec, weight, stream)[:2] + (np.inf,),
         )
         u0 = make_initial("isotropic-blob", grid2, ang2)
         cfg = SolverConfig(kernel=SPEC2, dt=0.05, t_end=0.1, lmax=8)

@@ -74,13 +74,19 @@ MUTANTS = (
         "self.bin_degree = np.minimum(k, m - k)",
         "self.bin_degree = np.minimum(k, m - 1 - k)",
     ),
-    Mutant("doubly-Nyquist fold", SOLVER, "stream[nyq] = 0.0", "pass"),
+    Mutant(
+        "doubly-Nyquist fold",
+        SOLVER,
+        "folds += fold[index[a, rows], None] * theta[:, a]",
+        "folds = fold[index[a, rows], None] * theta[:, a]",
+    ),
     Mutant(
         "one fold per Nyquist row",
         SOLVER,
-        "fold[(slice(None),) * b + (nyq,)] = 1.0",
-        "pass",
+        "* np.cos(np.multiply.outer(fold[:n], theta[:, a]) * tau)",
+        "* 1.0",
     ),
+    Mutant("exact doubly-Nyquist rows", SOLVER, "out[at] = exact", "pass"),
     Mutant("block-order sum", SOLVER, "sum(blocks, [])", "blocks[0]"),
     Mutant(
         "pool results in order",
@@ -92,8 +98,8 @@ MUTANTS = (
     Mutant(
         "fused half-steps",
         SOLVER,
-        "spec *= half if step == 1 else fused",
-        "spec *= fused",
+        "half if step == 1 else full",
+        "full",
     ),
     Mutant(
         "mass repair",
