@@ -332,17 +332,17 @@ def _eig_integral(kernel, lmax, n_panels):
         sig, wts = _graded_panels(np.pi ** (1.0 - s), n_panels)
         phi = sig ** (1.0 / (1.0 - s))
         jac = phi / (sig * (1.0 - s))
-        z = np.cos(phi)
+        t = np.cos(phi)
         rows, ring = np.cos(ell * phi[None, :]) - 1.0, 2.0
     else:
         # 2 pi int_{-1}^{1} (P_l(t) - 1) b(t) dt,  1 - t = tau^{1/(1-s)}
         tau, wts = _graded_panels(2.0 ** (1.0 - s), n_panels)
-        z = 1.0 - tau ** (1.0 / (1.0 - s))
-        jac = (1.0 - z) / (tau * (1.0 - s))
-        rows, ring = _legendre_rows(lmax, z) - 1.0, 2.0 * np.pi
+        t = 1.0 - tau ** (1.0 / (1.0 - s))
+        jac = (1.0 - t) / (tau * (1.0 - s))
+        rows, ring = _legendre_rows(lmax, t) - 1.0, 2.0 * np.pi
     # an integral that overflows is rejected below, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = ring * np.sum(rows * (_kernel_on(kernel, z) * jac * wts)[None, :], axis=1)
+        lam = ring * np.sum(rows * (_kernel_on(kernel, t) * jac * wts)[None, :], axis=1)
     if not np.all(np.isfinite(lam)):
         raise ParameterOutOfRange(
             f"the kernel's Funk-Hecke integrals are not finite on {n_panels} panels"

@@ -2,13 +2,13 @@
 The spatial-Fourier marcher against the physical-space marcher it replaced.
 
 `run` keeps its state as the rfftn spectrum over the space axes and streams
-by per-axis factors built per run (`solver._Stream`).  The oracle here is the previous
-marcher's transport, kept as it was: every half-step takes a full fftn,
-multiplies by exp(-i theta.k dt/2) built on the spot, and keeps the real
-part of the ifftn.  Its scattering steps the physical values as complex rows
-with zero imaginary parts through the engine's one stepping entry,
-`scatter_spectrum`, with the cell volume as their weight, and keeps the real
-part.  Both march random nonnegative data, which has energy in every bin,
+by per-axis factors built per run (`solver._Stream`).  The oracle here is
+the previous marcher's transport, kept as it was: every half-step takes a
+full fftn, multiplies by exp(-i theta.k dt/2) built on the spot, and keeps
+the real part of the ifftn.  Its scattering steps the physical values as
+complex rows with zero imaginary parts through the engine's one stepping
+entry, `scatter_spectrum`, with the cell volume as their weight, and keeps
+the real part.  Both march random nonnegative data, which has energy in every bin,
 the Nyquist planes and the doubly-Nyquist bins included, and they must agree
 step by step to 1e-13 relative on all four engines: fields, every
 diagnostics column, and the fields and step integrals `run` hands its
@@ -355,7 +355,7 @@ def test_run_holds_no_spectrum_sized_multiplier(name, monkeypatch):
     spectrum, the engine's workspace (the batch, the field of an emit and
     the engine's other slots) and one more spectrum.  A multiplier table the
     size of the spectrum would exceed that by itself: the streaming factors
-    are 1/m of the spectrum or less, and everything else of the run is
+    take 2/m of the spectrum or less, and everything else of the run is
     smaller.  The engine is built first, so that its own tables (M, the
     form) are not counted."""
     cfg, _, grid, angular = _case(name)
